@@ -4,7 +4,11 @@
 //! Times voxelization, skeletonization, and the end-to-end feature
 //! extraction per shape over the standard corpus and reports
 //! p50/p90/p99 for both buffer regimes, verifying along the way that
-//! the warm path reproduces the cold path bit for bit. When the
+//! the warm path reproduces the cold path bit for bit. It also totals
+//! the thinning work counters (sweeps, border candidates, endpoint
+//! skips, simple-point tests, deletions) over the corpus: they depend
+//! only on the deletion schedule, so a kernel change that keeps the
+//! schedule must leave them unchanged. When the
 //! committed `BENCH_obs_overhead.json` is present (it recorded the
 //! pre-scratch-buffer stage latencies over the same corpus and
 //! resolution), the improvement of the current warm path against those
@@ -25,7 +29,7 @@ use tdess_eval::render_table;
 use tdess_features::{normalize, ExtractScratch, FeatureExtractor};
 use tdess_geom::{TriMesh, Vec3};
 use tdess_obs::Level;
-use tdess_skeleton::{skeletonize, skeletonize_into, ThinScratch, ThinningParams};
+use tdess_skeleton::{skeletonize, thin_with, ThinScratch, ThinStats, ThinningParams};
 use tdess_voxel::{voxelize, voxelize_into, FloodScratch, VoxelGrid, VoxelizeParams};
 
 /// Latency samples (seconds, one per shape) for one stage.
@@ -137,13 +141,18 @@ fn main() {
     let mut skel = VoxelGrid::new(1, 1, 1, Vec3::ZERO, 1.0);
     let mut flood = FloodScratch::default();
     let mut thin_scratch = ThinScratch::default();
+    let mut thin_totals = ThinStats::default();
     for (si, mesh) in normalized.iter().enumerate() {
         let t0 = Instant::now();
         voxelize_into(mesh, &params, &mut grid, &mut flood);
         warm_vox.push(t0.elapsed().as_secs_f64());
+        // `skeletonize_into` without its stage timer (off here anyway),
+        // so the thinning counters come back with the timed run.
         let t0 = Instant::now();
-        skeletonize_into(&grid, &thin, &mut skel, &mut thin_scratch);
+        skel.copy_from(&grid);
+        let stats = thin_with(&mut skel, &thin, &mut thin_scratch);
         warm_skel.push(t0.elapsed().as_secs_f64());
+        thin_totals += stats;
         // The whole comparison is void unless warm output is
         // bit-identical to cold.
         if grid.words() != cold_words[si].0 || skel.words() != cold_words[si].1 {
@@ -225,8 +234,18 @@ fn main() {
         "Extraction latency, cold vs warm scratch — {n} shapes at resolution {resolution}{}",
         if smoke { " [smoke]" } else { "" }
     );
+    let counters = format!(
+        "thinning work over the corpus: {} sweeps, {} border candidates, {} endpoint skips, \
+         {} simple-point tests, {} deletions",
+        thin_totals.sweeps,
+        thin_totals.candidates,
+        thin_totals.endpoint_skips,
+        thin_totals.simple_tests,
+        thin_totals.deleted,
+    );
     println!("\n{title}");
     println!("{table}");
+    println!("{counters}");
 
     if let (Some((seed_vox, seed_skel)), Some((now_vox, now_skel))) = (baseline, replay) {
         println!(
@@ -278,6 +297,13 @@ fn main() {
         "corpus_size": n,
         "voxel_resolution": resolution,
         "stages": stages_json,
+        "thinning": serde_json::json!({
+            "sweeps": thin_totals.sweeps,
+            "candidates": thin_totals.candidates,
+            "endpoint_skips": thin_totals.endpoint_skips,
+            "simple_tests": thin_totals.simple_tests,
+            "deleted": thin_totals.deleted,
+        }),
         "vs_seed": vs_seed,
     });
     let pretty = match serde_json::to_string_pretty(&json) {
@@ -290,7 +316,10 @@ fn main() {
     write_or_die("BENCH_extract.json", &pretty);
     if !smoke {
         let _ = std::fs::create_dir_all("results");
-        write_or_die("results/tab_extract.txt", &format!("{title}\n{table}\n"));
+        write_or_die(
+            "results/tab_extract.txt",
+            &format!("{title}\n{table}\n{counters}\n"),
+        );
     }
 }
 

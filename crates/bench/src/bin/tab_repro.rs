@@ -10,7 +10,9 @@
 //! hits serialized with bit-exact distance/similarity — and the parent
 //! compares both artifacts **byte for byte**. Any divergence (hash
 //! iteration order leaking into the snapshot, a clock stamp, an
-//! unseeded RNG) fails the run.
+//! unseeded RNG) fails the run. The `checksum64` digests of both
+//! artifacts are recorded too, so a later commit that must not change
+//! features or rankings can be checked against the committed ones.
 //!
 //! Outputs:
 //! * `BENCH_repro.json` — machine-readable verdict and timings;
@@ -24,7 +26,7 @@ use std::process::Command;
 use std::time::Instant;
 
 use tdess_bench::{standard_context, CORPUS_SEED, RESOLUTION};
-use tdess_core::{save_to_path_binary, Query};
+use tdess_core::{checksum64, save_to_path_binary, Query};
 use tdess_eval::render_table;
 use tdess_features::FeatureKind;
 
@@ -111,9 +113,12 @@ fn main() {
     }
     let _ = std::fs::remove_dir_all(&base);
 
+    let snapshot_digest = format!("{:016x}", checksum64(&snap_a));
+    let results_digest = format!("{:016x}", checksum64(&res_a));
     let verdict = format!(
         "reproducible: {shapes} shapes, {} snapshot bytes and {} result lines byte-identical \
-         across fresh processes",
+         across fresh processes\n\
+         checksum64: snapshot {snapshot_digest}, query sweep {results_digest}",
         snap_a.len(),
         res_a.iter().filter(|b| **b == b'\n').count(),
     );
@@ -149,6 +154,8 @@ fn main() {
         "shapes": shapes,
         "top_k": TOP_K,
         "snapshot_bytes": snap_a.len() as u64,
+        "snapshot_checksum64": snapshot_digest,
+        "results_checksum64": results_digest,
         "snapshot_identical": snapshot_identical,
         "results_identical": results_identical,
         "runs": serde_json::Value::Arr(vec![
