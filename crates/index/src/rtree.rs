@@ -600,8 +600,9 @@ impl<T: Clone> RTree<T> {
             seq: tiebreak,
             item: Item::Node(&self.root),
         });
-        // hotpath: allow(hot-alloc) — the candidate heap is the query's working set
-        let mut out = Vec::with_capacity(k);
+        // `k` can come straight off the wire: never reserve past the
+        // number of points the tree can return.
+        let mut out = Vec::with_capacity(k.min(self.len));
 
         while let Some(HeapEntry { d2, item, .. }) = heap.pop() {
             if out.len() >= k {

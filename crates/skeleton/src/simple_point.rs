@@ -11,181 +11,125 @@
 //! 2. the background voxels in the 18-neighborhood of `p` that are
 //!    6-adjacent to `p` form exactly **one** 6-connected component
 //!    *within* the 18-neighborhood.
+//!
+//! The neighborhood is a 27-bit mask (see
+//! [`VoxelGrid::neighborhood27`](tdess_voxel::VoxelGrid::neighborhood27)):
+//! bit `x + 3y + 9z` is cell `(x, y, z)` of the 3×3×3 block, bit 13 the
+//! center. Both conditions are decided by a flood over the mask with a
+//! `const` table of per-cell adjacency masks.
 
-// 3×3×3 patches are most readable with explicit index loops.
-#![allow(clippy::needless_range_loop)]
+/// Bit of the center cell `(1, 1, 1)`.
+pub const CENTER: u32 = 1 << 13;
 
-/// A 3×3×3 occupancy patch around a voxel. Index `[dz+1][dy+1][dx+1]`;
-/// the center is `patch[1][1][1]`.
-pub type Patch = [[[bool; 3]; 3]; 3];
+/// The 26 neighbors: every cell of the block but the center.
+const N26: u32 = ((1 << 27) - 1) & !CENTER;
 
-/// Extracts the 3×3×3 neighborhood of `(i, j, k)` from a grid
-/// accessor. `get(di, dj, dk)` must return occupancy at the *absolute*
-/// offset from the voxel.
-pub fn extract_patch(get: impl Fn(isize, isize, isize) -> bool) -> Patch {
-    let mut p = [[[false; 3]; 3]; 3];
-    for (dz, plane) in p.iter_mut().enumerate() {
-        for (dy, row) in plane.iter_mut().enumerate() {
-            for (dx, cell) in row.iter_mut().enumerate() {
-                *cell = get(dx as isize - 1, dy as isize - 1, dz as isize - 1);
+/// The 6 face neighbors of the center.
+const N6: u32 = 1 << 4 | 1 << 10 | 1 << 12 | 1 << 14 | 1 << 16 | 1 << 22;
+
+/// The 18 face and edge neighbors: N26 without the 8 corners.
+const N18: u32 = N26 & !(1 | 1 << 2 | 1 << 6 | 1 << 8 | 1 << 18 | 1 << 20 | 1 << 24 | 1 << 26);
+
+/// For each cell `b`, the cells of the block within Chebyshev
+/// distance 1 of it (26-adjacent), `b` itself excluded.
+const ADJ26: [u32; 27] = adjacency(false);
+
+/// For each cell `b`, the cells of the block sharing a face with it
+/// (6-adjacent).
+const ADJ6: [u32; 27] = adjacency(true);
+
+const fn adjacency(faces_only: bool) -> [u32; 27] {
+    let mut table = [0u32; 27];
+    let mut a = 0usize;
+    while a < 27 {
+        let mut b = 0usize;
+        while b < 27 {
+            let dx = (a % 3).abs_diff(b % 3);
+            let dy = (a / 3 % 3).abs_diff(b / 3 % 3);
+            let dz = (a / 9).abs_diff(b / 9);
+            let adjacent = if faces_only {
+                dx + dy + dz == 1
+            } else {
+                a != b && dx <= 1 && dy <= 1 && dz <= 1
+            };
+            if adjacent {
+                table[a] |= 1 << b;
             }
+            b += 1;
         }
+        a += 1;
     }
-    p
+    table
+}
+
+/// The cells of `within` connected to the lowest set bit of `seeds`
+/// through `adj`-adjacent cells of `within`. `seeds` must be a
+/// non-empty subset of `within`.
+#[inline]
+fn flood(seeds: u32, within: u32, adj: &[u32; 27]) -> u32 {
+    let mut reached = seeds & seeds.wrapping_neg();
+    let mut frontier = reached;
+    while frontier != 0 {
+        let b = frontier.trailing_zeros() as usize;
+        frontier &= frontier - 1;
+        let new = adj[b] & within & !reached;
+        reached |= new;
+        frontier |= new;
+    }
+    reached
 }
 
 /// Number of object voxels in the 26-neighborhood (center excluded).
-pub fn object_neighbors(patch: &Patch) -> usize {
-    let mut n = 0;
-    for z in 0..3 {
-        for y in 0..3 {
-            for x in 0..3 {
-                if (x, y, z) != (1, 1, 1) && patch[z][y][x] {
-                    n += 1;
-                }
-            }
-        }
-    }
-    n
+#[inline]
+pub fn object_neighbors(n: u32) -> u32 {
+    (n & N26).count_ones()
 }
 
-/// Returns `true` if the center voxel of `patch` is simple for
-/// (26, 6)-connectivity.
-pub fn is_simple(patch: &Patch) -> bool {
-    object_components_26(patch) == 1 && background_components_6(patch) == 1
-}
-
-/// Counts 26-connected components of object voxels in the
-/// 26-neighborhood of the center (center excluded).
-fn object_components_26(patch: &Patch) -> usize {
-    // Cells are indexed 0..27, skipping the center (13).
-    let occ = |i: usize| -> bool {
-        let (x, y, z) = (i % 3, (i / 3) % 3, i / 9);
-        (x, y, z) != (1, 1, 1) && patch[z][y][x]
-    };
-    let mut seen = [false; 27];
-    let mut comps = 0;
-    for start in 0..27 {
-        if !occ(start) || seen[start] {
-            continue;
-        }
-        comps += 1;
-        // The patch has at most 26 non-center cells and each is pushed
-        // once, so a fixed-size array stack avoids heap traffic in this
-        // innermost thinning kernel.
-        let mut stack = [0usize; 27];
-        let mut sp = 1usize;
-        stack[0] = start;
-        seen[start] = true;
-        while sp > 0 {
-            sp -= 1;
-            let c = stack[sp];
-            let (cx, cy, cz) = ((c % 3) as isize, ((c / 3) % 3) as isize, (c / 9) as isize);
-            for dz in -1..=1isize {
-                for dy in -1..=1isize {
-                    for dx in -1..=1isize {
-                        if dx == 0 && dy == 0 && dz == 0 {
-                            continue;
-                        }
-                        let (nx, ny, nz) = (cx + dx, cy + dy, cz + dz);
-                        if !(0..3).contains(&nx) || !(0..3).contains(&ny) || !(0..3).contains(&nz) {
-                            continue;
-                        }
-                        let n = (nx + ny * 3 + nz * 9) as usize;
-                        if occ(n) && !seen[n] {
-                            seen[n] = true;
-                            stack[sp] = n;
-                            sp += 1;
-                        }
-                    }
-                }
-            }
-        }
+/// Returns `true` if the center of the neighborhood `n` is simple for
+/// (26, 6)-connectivity. The center bit itself is ignored.
+#[inline]
+pub fn is_simple(n: u32) -> bool {
+    // One 26-connected object component among the 26 neighbors.
+    let object = n & N26;
+    if object == 0 || flood(object, object, &ADJ26) != object {
+        return false;
     }
-    comps
-}
-
-/// Counts 6-connected components of *background* voxels within the
-/// 18-neighborhood of the center that are 6-adjacent to the center.
-/// Connectivity paths may only pass through the 18-neighborhood.
-fn background_components_6(patch: &Patch) -> usize {
-    // 18-neighborhood = cells with Chebyshev distance 1 and Manhattan
-    // distance ≤ 2 (faces + edges, no corners), center excluded.
-    let in_n18 = |x: isize, y: isize, z: isize| -> bool {
-        let (ax, ay, az) = ((x - 1).abs(), (y - 1).abs(), (z - 1).abs());
-        let manhattan = ax + ay + az;
-        (1..=2).contains(&manhattan) && ax <= 1 && ay <= 1 && az <= 1
-    };
-    let bg = |x: isize, y: isize, z: isize| -> bool {
-        in_n18(x, y, z) && !patch[z as usize][y as usize][x as usize]
-    };
-    // Seeds: background voxels 6-adjacent to the center.
-    let seeds: [(isize, isize, isize); 6] = [
-        (0, 1, 1),
-        (2, 1, 1),
-        (1, 0, 1),
-        (1, 2, 1),
-        (1, 1, 0),
-        (1, 1, 2),
-    ];
-    let mut seen = [[[false; 3]; 3]; 3];
-    let mut comps = 0;
-    for &(sx, sy, sz) in &seeds {
-        if !bg(sx, sy, sz) || seen[sz as usize][sy as usize][sx as usize] {
-            continue;
-        }
-        comps += 1;
-        // The 18-neighborhood has 18 cells, each pushed at most once:
-        // a fixed-size array stack keeps this heap-free.
-        let mut stack = [(0isize, 0isize, 0isize); 18];
-        let mut sp = 1usize;
-        stack[0] = (sx, sy, sz);
-        seen[sz as usize][sy as usize][sx as usize] = true;
-        while sp > 0 {
-            sp -= 1;
-            let (cx, cy, cz) = stack[sp];
-            for (dx, dy, dz) in [
-                (1, 0, 0),
-                (-1, 0, 0),
-                (0, 1, 0),
-                (0, -1, 0),
-                (0, 0, 1),
-                (0, 0, -1),
-            ] {
-                let (nx, ny, nz) = (cx + dx, cy + dy, cz + dz);
-                if !(0..3).contains(&nx) || !(0..3).contains(&ny) || !(0..3).contains(&nz) {
-                    continue;
-                }
-                if bg(nx, ny, nz) && !seen[nz as usize][ny as usize][nx as usize] {
-                    seen[nz as usize][ny as usize][nx as usize] = true;
-                    stack[sp] = (nx, ny, nz);
-                    sp += 1;
-                }
-            }
-        }
-    }
-    comps
+    // One 6-connected background component, within N18, touching the
+    // center's faces.
+    let background = !n & N18;
+    let faces = background & N6;
+    faces != 0 && faces & !flood(faces, background, &ADJ6) == 0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn patch_from(voxels: &[(isize, isize, isize)]) -> Patch {
-        let mut p = [[[false; 3]; 3]; 3];
-        p[1][1][1] = true;
-        for &(x, y, z) in voxels {
-            p[(z + 1) as usize][(y + 1) as usize][(x + 1) as usize] = true;
-        }
-        p
+    /// The neighborhood with the center and the given offsets filled.
+    fn mask_from(voxels: &[(i32, i32, i32)]) -> u32 {
+        voxels.iter().fold(CENTER, |n, &(x, y, z)| {
+            n | 1 << ((x + 1) + 3 * (y + 1) + 9 * (z + 1))
+        })
+    }
+
+    #[test]
+    fn masks_have_the_textbook_sizes() {
+        assert_eq!(N26.count_ones(), 26);
+        assert_eq!(N18.count_ones(), 18);
+        assert_eq!(N6.count_ones(), 6);
+        assert_eq!(N6 & !N18, 0);
+        assert_eq!(ADJ26[13], N26);
+        assert_eq!(ADJ6[13], N6);
+        assert_eq!(ADJ26[0].count_ones(), 7);
+        assert_eq!(ADJ6[0].count_ones(), 3);
     }
 
     #[test]
     fn isolated_voxel_is_not_simple() {
         // Deleting the last voxel of a component changes topology.
-        let p = patch_from(&[]);
-        assert!(!is_simple(&p));
-        assert_eq!(object_neighbors(&p), 0);
+        let n = mask_from(&[]);
+        assert!(!is_simple(n));
+        assert_eq!(object_neighbors(n), 0);
     }
 
     #[test]
@@ -193,78 +137,62 @@ mod tests {
         // A voxel with a single neighbor can be deleted without
         // topology change (that is why thinning protects endpoints
         // explicitly, not via simplicity).
-        let p = patch_from(&[(1, 0, 0)]);
-        assert!(is_simple(&p));
-        assert_eq!(object_neighbors(&p), 1);
+        let n = mask_from(&[(1, 0, 0)]);
+        assert!(is_simple(n));
+        assert_eq!(object_neighbors(n), 1);
     }
 
     #[test]
     fn middle_of_line_is_not_simple() {
         // Two opposite neighbors: deleting the center disconnects them.
-        let p = patch_from(&[(1, 0, 0), (-1, 0, 0)]);
-        assert!(!is_simple(&p));
+        assert!(!is_simple(mask_from(&[(1, 0, 0), (-1, 0, 0)])));
     }
 
     #[test]
     fn corner_of_full_block_is_simple() {
         // Center of a 2×2×2 full corner: removable surface voxel.
-        let mut p = [[[false; 3]; 3]; 3];
-        for z in 1..3 {
-            for y in 1..3 {
-                for x in 1..3 {
-                    p[z][y][x] = true;
+        let mut corner = Vec::new();
+        for z in 0..2 {
+            for y in 0..2 {
+                for x in 0..2 {
+                    corner.push((x, y, z));
                 }
             }
         }
-        assert!(is_simple(&p));
+        assert!(is_simple(mask_from(&corner)));
     }
 
     #[test]
     fn interior_of_solid_is_not_simple() {
         // Fully surrounded voxel: deleting it creates a cavity.
-        let p = [[[true; 3]; 3]; 3];
-        assert!(!is_simple(&p));
+        assert!(!is_simple((1 << 27) - 1));
     }
 
     #[test]
     fn diagonal_pair_bridge_not_simple() {
         // Center bridges two voxels touching it only diagonally.
-        let p = patch_from(&[(1, 1, 0), (-1, -1, 0)]);
-        assert!(!is_simple(&p));
+        assert!(!is_simple(mask_from(&[(1, 1, 0), (-1, -1, 0)])));
     }
 
     #[test]
     fn plate_center_is_not_simple() {
         // Center of a 3×3 one-voxel-thick plate: deleting it would
         // pierce a tunnel through the plate.
-        let mut p = [[[false; 3]; 3]; 3];
-        for y in 0..3 {
-            for x in 0..3 {
-                p[1][y][x] = true;
-            }
-        }
-        assert!(!is_simple(&p));
+        let plate: Vec<_> = (-1..=1)
+            .flat_map(|y| (-1..=1).map(move |x| (x, y, 0)))
+            .collect();
+        assert!(!is_simple(mask_from(&plate)));
     }
 
     #[test]
     fn plate_edge_is_simple() {
         // A voxel on the rim of a plate has one object component and
-        // one background component: removable.
-        let mut p = [[[false; 3]; 3]; 3];
-        // Plate occupies x in 0..3, y in 1..3 at z = 1; center at (1,1,1)
-        // sits on the rim (y = 1 edge).
-        for y in 1..3 {
-            for x in 0..3 {
-                p[1][y][x] = true;
-            }
-        }
-        assert!(is_simple(&p));
-    }
-
-    #[test]
-    fn extract_patch_reads_offsets() {
-        let p = extract_patch(|dx, dy, dz| dx == 1 && dy == 0 && dz == -1);
-        assert!(p[0][1][2]);
-        assert_eq!(p.iter().flatten().flatten().filter(|&&b| b).count(), 1);
+        // one background component: removable. The plate spans
+        // x in -1..=1, y in 0..=1 at z = 0, so the center sits on its
+        // y = 0 edge.
+        let plate: Vec<_> = (0..=1)
+            .flat_map(|y| (-1..=1).map(move |x| (x, y, 0)))
+            .collect();
+        assert!(is_simple(mask_from(&plate)));
     }
 }

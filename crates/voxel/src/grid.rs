@@ -122,8 +122,7 @@ impl VoxelGrid {
         if i >= self.nx || j >= self.ny || k >= self.nz {
             return false;
         }
-        let idx = self.index(i, j, k);
-        (self.bits[idx / 64] >> (idx % 64)) & 1 == 1
+        self.get_flat(self.index(i, j, k))
     }
 
     /// Sets voxel `(i, j, k)` to `value`. Panics when out of range.
@@ -195,18 +194,23 @@ impl VoxelGrid {
         })
     }
 
-    /// Calls `f(i, j, k)` for every filled voxel in ascending
-    /// flattened-index order — identical to the nested `k`/`j`/`i`
-    /// loops used throughout (`i` fastest), but skipping empty 64-bit
-    /// words, which dominates on the sparse grids late in thinning.
+    /// Reads the voxel at flattened index `idx = i + nx*(j + ny*k)`.
+    /// Panics when `idx` is past the storage.
     #[inline]
-    pub fn for_each_filled(&self, mut f: impl FnMut(usize, usize, usize)) {
-        let (nx, ny) = (self.nx, self.ny);
+    pub fn get_flat(&self, idx: usize) -> bool {
+        (self.bits[idx / 64] >> (idx % 64)) & 1 == 1
+    }
+
+    /// Calls `f(idx)` with the flattened index `idx = i + nx*(j + ny*k)`
+    /// of every filled voxel, ascending — the order of nested `k`/`j`/`i`
+    /// loops (`i` fastest), but skipping empty 64-bit words, which
+    /// dominates on the sparse grids late in thinning.
+    #[inline]
+    pub fn for_each_filled(&self, mut f: impl FnMut(usize)) {
         for (w, &bits) in self.bits.iter().enumerate() {
             let mut word = bits;
             while word != 0 {
-                let idx = w * 64 + word.trailing_zeros() as usize;
-                f(idx % nx, (idx / nx) % ny, idx / (nx * ny));
+                f(w * 64 + word.trailing_zeros() as usize);
                 word &= word - 1;
             }
         }
@@ -241,21 +245,59 @@ impl VoxelGrid {
 
     /// Number of 26-connected neighbors of `(i, j, k)` that are filled.
     pub fn neighbor_count26(&self, i: usize, j: usize, k: usize) -> usize {
-        let (i, j, k) = (i as isize, j as isize, k as isize);
+        (self.neighborhood27(i, j, k) & !(1 << 13)).count_ones() as usize
+    }
+
+    /// The 3×3×3 block around `(i, j, k)` as a 27-bit mask: bit
+    /// `x + 3y + 9z` is voxel `(i + x - 1, j + y - 1, k + z - 1)`, so
+    /// bit 13 is `(i, j, k)` itself. Out-of-range cells read empty, as
+    /// in [`get`](Self::get). Each of the nine rows is one 3-bit read
+    /// from the packed words.
+    pub fn neighborhood27(&self, i: usize, j: usize, k: usize) -> u32 {
+        debug_assert!(i < self.nx && j < self.ny && k < self.nz);
+        // Row cells outside the grid in x: the flat index wraps onto
+        // the neighbouring row there, so mask them off.
+        let mut xmask = 0b111;
+        if i == 0 {
+            xmask &= 0b110;
+        }
+        if i + 1 == self.nx {
+            xmask &= 0b011;
+        }
         let mut n = 0;
-        for dz in -1..=1isize {
-            for dy in -1..=1isize {
-                for dx in -1..=1isize {
-                    if dx == 0 && dy == 0 && dz == 0 {
-                        continue;
-                    }
-                    if self.get(i + dx, j + dy, k + dz) {
-                        n += 1;
-                    }
-                }
+        for z in 0..3 {
+            let Some(kk) = (k + z).checked_sub(1).filter(|&kk| kk < self.nz) else {
+                continue;
+            };
+            for y in 0..3 {
+                let Some(jj) = (j + y).checked_sub(1).filter(|&jj| jj < self.ny) else {
+                    continue;
+                };
+                // Bits idx-1, idx, idx+1 of the row through (i, jj, kk).
+                // Only idx == 0 has no idx-1, and there x = 0 is masked.
+                let idx = self.index(i, jj, kk);
+                let row = match idx.checked_sub(1) {
+                    Some(first) => self.bits3(first),
+                    None => self.bits3(0) << 1,
+                };
+                n |= (row & xmask) << (3 * y + 9 * z);
             }
         }
         n
+    }
+
+    /// Flat bits `first..first + 3` as the low bits of a `u32`; higher
+    /// bits may hold garbage. Bits past the storage read as zero.
+    #[inline]
+    fn bits3(&self, first: usize) -> u32 {
+        let (w, off) = (first / 64, first % 64);
+        let mut bits = self.bits[w] >> off;
+        if off > 61 {
+            if let Some(&next) = self.bits.get(w + 1) {
+                bits |= next << (64 - off);
+            }
+        }
+        bits as u32
     }
 }
 
@@ -390,6 +432,41 @@ mod tests {
     }
 
     #[test]
+    fn neighborhood27_matches_get_everywhere() {
+        // Odd dimensions so rows straddle word boundaries, and every
+        // voxel of the grid including the faces, edges and corners.
+        let mut g = VoxelGrid::new(7, 5, 4, Vec3::ZERO, 1.0);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for k in 0..4 {
+            for j in 0..5 {
+                for i in 0..7 {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    g.set(i, j, k, !state.is_multiple_of(3));
+                }
+            }
+        }
+        for (i, j, k) in
+            (0..4).flat_map(|k| (0..5).flat_map(move |j| (0..7).map(move |i| (i, j, k))))
+        {
+            let mut want = 0u32;
+            for z in 0..3 {
+                for y in 0..3 {
+                    for x in 0..3 {
+                        let (di, dj, dk) =
+                            (i as isize + x - 1, j as isize + y - 1, k as isize + z - 1);
+                        if g.get(di, dj, dk) {
+                            want |= 1 << (x + 3 * y + 9 * z);
+                        }
+                    }
+                }
+            }
+            assert_eq!(g.neighborhood27(i, j, k), want, "at ({i},{j},{k})");
+        }
+    }
+
+    #[test]
     fn filled_volume_scales_with_voxel_size() {
         let mut g = VoxelGrid::new(2, 2, 2, Vec3::ZERO, 0.5);
         g.set(0, 0, 0, true);
@@ -435,7 +512,10 @@ mod tests {
             g.set(i, j, k, true);
         }
         let mut via_words = Vec::new();
-        g.for_each_filled(|i, j, k| via_words.push((i, j, k)));
+        g.for_each_filled(|idx| {
+            assert!(g.get_flat(idx));
+            via_words.push((idx % 9, idx / 9 % 5, idx / 45));
+        });
         let via_scan: Vec<_> = g.iter_filled().collect();
         assert_eq!(via_words, via_scan);
     }
