@@ -10,12 +10,13 @@
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
-use tdess_features::{FeatureExtractor, FeatureKind, FeatureSet, NormalizeError};
+use tdess_features::{FeatureExtractor, FeatureKind, FeatureSet, KindMap, NormalizeError};
 use tdess_geom::TriMesh;
 use tdess_index::{QueryStats, RTree, RTreeConfig};
 use tdess_obs::{Stage, StageTimer};
 
 use crate::similarity::{similarity, threshold_to_radius, weighted_distance, Weights};
+use crate::snapshot::{MAX_FEATURE_DIM, MAX_VOXEL_RESOLUTION};
 
 /// A database shape identifier.
 pub type ShapeId = u64;
@@ -133,39 +134,37 @@ impl From<NormalizeError> for DbError {
 /// assert_eq!(db.get(hits[0].id).unwrap().name, "box");
 /// # Ok::<(), tdess_core::DbError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Not `Deserialize`: a database is only ever reassembled from stored
+/// parts through [`ShapeDatabase::from_loaded_parts`], which validates
+/// them and rebuilds the indexes, whichever format they came from.
+#[derive(Debug, Clone)]
 pub struct ShapeDatabase {
     extractor: FeatureExtractor,
     next_id: ShapeId,
     shapes: Vec<StoredShape>,
-    #[serde(skip, default)]
     id_index: HashMap<ShapeId, usize>,
-    indexes: HashMap<FeatureKind, RTree<ShapeId>>,
+    /// One R-tree per feature space, derived from `shapes`; every tree
+    /// shares one fan-out config.
+    indexes: KindMap<RTree<ShapeId>>,
     /// Diameter (max pairwise distance) per feature space, maintained
     /// incrementally; normalizes similarity (Eq. 4.4).
-    dmax: HashMap<FeatureKind, f64>,
+    dmax: KindMap<f64>,
 }
 
 impl ShapeDatabase {
     /// Creates an empty database with the given extractor
     /// configuration.
     pub fn new(extractor: FeatureExtractor) -> ShapeDatabase {
-        let mut indexes = HashMap::new();
-        let mut dmax = HashMap::new();
-        for kind in FeatureKind::ALL {
-            indexes.insert(
-                kind,
-                RTree::new(extractor.dim(kind), RTreeConfig::default()),
-            );
-            dmax.insert(kind, 0.0);
-        }
         ShapeDatabase {
             extractor,
             next_id: 1,
             shapes: Vec::new(),
             id_index: HashMap::new(),
-            indexes,
-            dmax,
+            indexes: KindMap::from_fn(|kind| {
+                RTree::new(extractor.dim(kind), RTreeConfig::default())
+            }),
+            dmax: KindMap::default(),
         }
     }
 
@@ -208,12 +207,11 @@ impl ShapeDatabase {
 
     /// Current similarity-normalization diameter for a feature space.
     pub fn dmax(&self, kind: FeatureKind) -> f64 {
-        self.dmax[&kind]
+        self.dmax[kind]
     }
 
-    /// Rebuilds the transient id → slot map (needed after
-    /// deserialization).
-    pub(crate) fn rebuild_id_index(&mut self) {
+    /// Rebuilds the transient id → slot map.
+    fn rebuild_id_index(&mut self) {
         self.id_index = self
             .shapes
             .iter()
@@ -243,8 +241,7 @@ impl ShapeDatabase {
             let v = features.get(kind);
             // Maintain the diameter incrementally: the new point can
             // only extend dmax via its distance to existing points.
-            // lint: allow(unwrap) — dmax holds every FeatureKind from new(); keys are never removed
-            let entry = self.dmax.get_mut(&kind).expect("all kinds initialized");
+            let entry = &mut self.dmax[kind];
             for s in &self.shapes {
                 let d = weighted_distance(v, s.features.get(kind), &Weights::unit());
                 if d > *entry {
@@ -268,7 +265,8 @@ impl ShapeDatabase {
     /// bulk loader instead of inserted into one point at a time —
     /// packed trees build faster and answer queries with no more node
     /// accesses. Search results are identical either way: distances
-    /// are computed from the stored vectors, not the tree shape.
+    /// are computed from the stored vectors, and ties rank by id, not
+    /// by the tree's shape.
     pub fn insert_batch_precomputed(
         &mut self,
         items: Vec<(String, TriMesh, FeatureSet)>,
@@ -280,9 +278,7 @@ impl ShapeDatabase {
                 .map(|s| s.features.get(kind))
                 .chain(items.iter().map(|(_, _, f)| f.get(kind)))
                 .collect();
-            // lint: allow(unwrap) — dmax holds every FeatureKind from new(); keys are never removed
-            let entry = self.dmax.get_mut(&kind).expect("all kinds initialized");
-            *entry = diameter_with_bound(&points, *entry);
+            self.dmax[kind] = diameter_with_bound(&points, self.dmax[kind]);
         }
         // A handful of inserts into a large database does not amortize
         // an O(n log n) rebuild of every tree; keep those incremental.
@@ -307,82 +303,54 @@ impl ShapeDatabase {
                 id
             })
             .collect();
-        self.rebuild_indexes(self.index_config());
+        self.indexes = build_indexes(&self.extractor, &self.shapes, self.index_config());
         ids
     }
 
-    /// The fan-out configuration of this database's R-trees. Every
-    /// tree shares one config, but the probe walks `FeatureKind::ALL`
-    /// rather than hash order so the answer never depends on map
-    /// iteration (`values().next()` picks a RandomState-ordered
-    /// element).
+    /// The fan-out configuration shared by this database's R-trees.
     pub(crate) fn index_config(&self) -> RTreeConfig {
-        FeatureKind::ALL
-            .iter()
-            .find_map(|kind| self.indexes.get(kind))
-            .map(|t| t.config())
-            .unwrap_or_default()
+        self.indexes[FeatureKind::MomentInvariants].config()
     }
 
-    /// Rebuilds every per-kind R-tree from the stored shapes using the
-    /// STR bulk loader.
-    fn rebuild_indexes(&mut self, config: RTreeConfig) {
-        // The seven feature spaces are independent, so their trees
-        // build on separate scoped threads (auto-joined); each build is
-        // deterministic, so the parallelism cannot change results.
-        let extractor = self.extractor;
-        let shapes = &self.shapes;
-        let trees: Vec<(FeatureKind, RTree<ShapeId>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = FeatureKind::ALL
-                .into_iter()
-                .map(|kind| {
-                    scope.spawn(move || {
-                        let entries: Vec<(Vec<f64>, ShapeId)> = shapes
-                            .iter()
-                            .map(|s| (s.features.get(kind).to_vec(), s.id))
-                            .collect();
-                        (kind, RTree::bulk_load(extractor.dim(kind), config, entries))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // lint: allow(unwrap) — propagates a build-thread panic
-                .map(|h| h.join().expect("index build thread panicked"))
-                .collect()
-        });
-        for (kind, tree) in trees {
-            self.indexes.insert(kind, tree);
-        }
-    }
-
-    /// Reassembles a database from the parts a binary snapshot stores
-    /// (shapes with features, `dmax` table, id counter, tree config),
-    /// validating everything that untrusted bytes could have broken
-    /// and STR-bulk-loading the indexes instead of deserializing them.
+    /// Reassembles a database from the parts a snapshot stores (JSON
+    /// and binary alike): extractor, id counter, shapes with their
+    /// meshes and features, the `dmax` table and the tree fan-out.
+    /// The parts are untrusted bytes, so everything a later call
+    /// relies on is checked here, in this one place; then the R-trees
+    /// are STR-bulk-loaded from the stored vectors, since they are
+    /// derived data and never stored.
     pub(crate) fn from_loaded_parts(
         extractor: FeatureExtractor,
         next_id: ShapeId,
         shapes: Vec<StoredShape>,
-        dmax: HashMap<FeatureKind, f64>,
+        dmax: KindMap<f64>,
         config: RTreeConfig,
     ) -> Result<ShapeDatabase, String> {
+        // Voxelization needs a resolution of at least 2.
+        if !(2..=MAX_VOXEL_RESOLUTION).contains(&extractor.voxel_resolution)
+            || !(1..=MAX_FEATURE_DIM).contains(&extractor.spectrum_dim)
+        {
+            return Err(format!(
+                "implausible extractor config: voxel_resolution {}, spectrum_dim {}",
+                extractor.voxel_resolution, extractor.spectrum_dim
+            ));
+        }
         config.validate().map_err(|e| e.to_string())?;
-        for kind in FeatureKind::ALL {
-            let d = *dmax
-                .get(&kind)
-                .ok_or_else(|| format!("missing dmax entry for {kind:?}"))?;
+        for (kind, &d) in dmax.iter() {
             if !d.is_finite() || d < 0.0 {
                 return Err(format!(
                     "dmax for {kind:?} is {d}, expected finite and >= 0"
                 ));
             }
         }
-        // Feature dimensionality and finiteness are the decoder's
-        // contract: the snapshot loader pins per-kind dims to the
-        // extractor config in `decode_meta` and rejects non-finite
-        // values while decoding `FEAT`, so only the cross-cutting
-        // invariants are checked here.
+        for s in &shapes {
+            s.features
+                .check(&extractor)
+                .map_err(|e| format!("shape {}: {e}", s.id))?;
+            s.mesh
+                .check_indices()
+                .map_err(|e| format!("shape {}: {e}", s.id))?;
+        }
         let mut ids: Vec<ShapeId> = shapes.iter().map(|s| s.id).collect();
         ids.sort_unstable();
         if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
@@ -397,13 +365,12 @@ impl ShapeDatabase {
         let mut db = ShapeDatabase {
             extractor,
             next_id,
+            indexes: build_indexes(&extractor, &shapes, config),
             shapes,
             id_index: HashMap::new(),
-            indexes: HashMap::new(),
             dmax,
         };
         db.rebuild_id_index();
-        db.rebuild_indexes(config);
         Ok(db)
     }
 
@@ -419,12 +386,8 @@ impl ShapeDatabase {
         self.next_id += 1;
 
         for kind in FeatureKind::ALL {
-            self.indexes
-                .get_mut(&kind)
-                // lint: allow(unwrap) — indexes holds every FeatureKind from new(); keys are never removed
-                .expect("all kinds initialized")
-                // hotpath: allow(hot-alloc) — the database stores an owned copy of the inserted vector
-                .insert(features.get(kind).to_vec(), id);
+            // hotpath: allow(hot-alloc) — the database stores an owned copy of the inserted vector
+            self.indexes[kind].insert(features.get(kind).to_vec(), id);
         }
 
         self.id_index.insert(id, self.shapes.len());
@@ -442,12 +405,7 @@ impl ShapeDatabase {
         let slot = *self.id_index.get(&id).ok_or(DbError::UnknownShape(id))?;
         let shape = self.shapes.remove(slot);
         for kind in FeatureKind::ALL {
-            let v = shape.features.get(kind);
-            self.indexes
-                .get_mut(&kind)
-                // lint: allow(unwrap) — indexes holds every FeatureKind from new(); keys are never removed
-                .expect("all kinds initialized")
-                .remove(v, |&p| p == id);
+            self.indexes[kind].remove(shape.features.get(kind), |&p| p == id);
         }
         // Note: dmax is left as an upper bound (recomputing the exact
         // diameter on every delete would be O(n²)); similarity stays
@@ -466,7 +424,9 @@ impl ShapeDatabase {
     ///
     /// Unit-weight queries run on the R-tree; weighted queries scan the
     /// stored features (a weighted metric changes the geometry the
-    /// index was built for).
+    /// index was built for). Every path returns hits in `(distance,
+    /// id)` order, so results depend on the stored shapes alone, never
+    /// on how the trees were built.
     pub fn search(&self, features: &FeatureSet, query: &Query) -> Vec<SearchHit> {
         let mut stats = QueryStats::default();
         self.search_with_stats(features, query, &mut stats)
@@ -481,10 +441,10 @@ impl ShapeDatabase {
         stats: &mut QueryStats,
     ) -> Vec<SearchHit> {
         let q = features.get(query.kind);
-        let dmax = self.dmax[&query.kind];
+        let dmax = self.dmax[query.kind];
 
         if query.weights.is_unit() {
-            let index = &self.indexes[&query.kind];
+            let index = &self.indexes[query.kind];
             match query.mode {
                 QueryMode::TopK(k) => {
                     let timer = StageTimer::start(Stage::IndexSearch);
@@ -528,7 +488,7 @@ impl ShapeDatabase {
                         })
                         .filter(|h| h.similarity >= t)
                         .collect();
-                    hits.sort_by(|a, b| a.distance.total_cmp(&b.distance));
+                    hits.sort_by(by_distance_then_id);
                     hits
                 }
             }
@@ -550,7 +510,7 @@ impl ShapeDatabase {
                 })
                 .collect();
             let _stage = timer.handoff(Stage::SimilarityCombine);
-            hits.sort_by(|a, b| a.distance.total_cmp(&b.distance));
+            hits.sort_by(by_distance_then_id);
             match query.mode {
                 QueryMode::TopK(k) => {
                     hits.truncate(k);
@@ -586,7 +546,7 @@ impl ShapeDatabase {
             // hotpath: allow(hot-alloc) — the sorted hit list is the returned artifact
             .collect();
         let _stage = timer.handoff(Stage::SimilarityCombine);
-        hits.sort_by(|a, b| a.distance.total_cmp(&b.distance));
+        hits.sort_by(by_distance_then_id);
         hits
     }
 
@@ -641,6 +601,36 @@ impl ShapeDatabase {
         let features = self.extract_query(mesh)?;
         Ok(self.search(&features, query))
     }
+}
+
+/// The result order of every search path: nearest first, ties by id,
+/// so a ranking never depends on a tree's shape or a scan's order.
+fn by_distance_then_id(a: &SearchHit, b: &SearchHit) -> std::cmp::Ordering {
+    a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id))
+}
+
+/// STR-bulk-loads one R-tree per feature space from `shapes`.
+fn build_indexes(
+    extractor: &FeatureExtractor,
+    shapes: &[StoredShape],
+    config: RTreeConfig,
+) -> KindMap<RTree<ShapeId>> {
+    // The seven feature spaces are independent, so their trees build
+    // on separate scoped threads (auto-joined); each build is
+    // deterministic, so the parallelism cannot change results.
+    std::thread::scope(|scope| {
+        KindMap::from_fn(|kind| {
+            scope.spawn(move || {
+                let entries: Vec<(Vec<f64>, ShapeId)> = shapes
+                    .iter()
+                    .map(|s| (s.features.get(kind).to_vec(), s.id))
+                    .collect();
+                RTree::bulk_load(extractor.dim(kind), config, entries)
+            })
+        })
+        // lint: allow(unwrap) — propagates a build-thread panic
+        .map(|h| h.join().expect("index build thread panicked"))
+    })
 }
 
 /// Exact diameter (max pairwise Euclidean distance) of `points`,
@@ -974,6 +964,43 @@ mod tests {
             // Hits come back distance-sorted.
             for w in indexed.windows(2) {
                 assert!(w[0].distance <= w[1].distance);
+            }
+        }
+    }
+
+    #[test]
+    fn tied_rankings_do_not_depend_on_tree_shape() {
+        // Forty identical shapes: every distance ties. Sequential
+        // inserts split the trees incrementally; the batch path
+        // STR-packs them. Both must rank ties by id.
+        let extractor = FeatureExtractor {
+            voxel_resolution: 12,
+            ..Default::default()
+        };
+        let mesh = primitives::box_mesh(Vec3::new(2.0, 1.0, 0.5));
+        let features = extractor.extract(&mesh).unwrap();
+        let mut seq = ShapeDatabase::new(extractor);
+        let mut items = Vec::new();
+        for i in 0..40 {
+            seq.insert_precomputed(format!("s{i}"), mesh.clone(), features.clone());
+            items.push((format!("s{i}"), mesh.clone(), features.clone()));
+        }
+        let mut bat = ShapeDatabase::new(extractor);
+        bat.insert_batch_precomputed(items);
+        for kind in FeatureKind::ALL {
+            for db in [&seq, &bat] {
+                let top: Vec<ShapeId> = db
+                    .search(&features, &Query::top_k(kind, 5))
+                    .iter()
+                    .map(|h| h.id)
+                    .collect();
+                assert_eq!(top, vec![1, 2, 3, 4, 5], "{kind:?}");
+                let all: Vec<ShapeId> = db
+                    .search(&features, &Query::threshold(kind, 0.5))
+                    .iter()
+                    .map(|h| h.id)
+                    .collect();
+                assert_eq!(all, (1..=40).collect::<Vec<_>>(), "{kind:?}");
             }
         }
     }

@@ -5,12 +5,19 @@
 //! that storage role with files (see DESIGN.md for the substitution
 //! rationale). Two on-disk formats share one load entry point:
 //!
-//! * **JSON** — the original, human-inspectable format; everything
-//!   including the R-trees round-trips. The compat/debug path.
+//! * **JSON** — the human-inspectable format, the compat/debug path.
 //! * **Binary snapshot** (`TDSS`, [`crate::snapshot`]) — sectioned,
 //!   checksummed, fixed-layout; the scale path for 10⁴–10⁵-shape
-//!   databases. R-trees are rebuilt with STR bulk loading instead of
-//!   being stored.
+//!   databases.
+//!
+//! Both store the same parts: the extractor config, the id counter,
+//! the shapes (name, mesh, feature vectors), the per-kind `dmax` table
+//! and the R-tree fan-out. The R-trees themselves are derived data
+//! (§2.3: vectors are stored, "then the index is updated") and are
+//! never stored: both loaders end in
+//! [`ShapeDatabase::from_loaded_parts`], which validates the parts and
+//! STR-bulk-loads the trees. JSON files written before trees stopped
+//! being stored still load; their `indexes` field is ignored.
 //!
 //! [`load_from_path`] sniffs the first four bytes and dispatches;
 //! callers never need to know which format a file is in.
@@ -19,8 +26,16 @@ use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::db::ShapeDatabase;
+use serde::{Deserialize, Serialize};
+use tdess_features::{FeatureExtractor, KindMap};
+use tdess_index::RTreeConfig;
+
+use crate::db::{ShapeDatabase, ShapeId, StoredShape};
 use crate::snapshot::{load_binary_bytes, save_binary, SNAPSHOT_MAGIC};
+
+/// Path used in errors from the writer/reader-level entry points,
+/// where no file is involved.
+pub(crate) const STREAM: &str = "<stream>";
 
 /// The file operation a [`PersistError::File`] failure occurred in —
 /// distinguishing a failed temp-file create from a failed fsync or
@@ -90,10 +105,10 @@ pub enum PersistError {
         /// Newest version this build reads.
         supported: u32,
     },
-    /// A binary snapshot failed validation: truncation, checksum
-    /// mismatch, a count past its cap, or decoded data that violates
-    /// database invariants. Names the section so a corrupt file is
-    /// diagnosable from the message alone.
+    /// A snapshot failed validation: truncation, checksum mismatch,
+    /// a count past its cap, or (in either format) decoded data that
+    /// violates database invariants. Names the section so a corrupt
+    /// file is diagnosable from the message alone.
     Corrupt {
         /// The file that was read.
         path: std::path::PathBuf,
@@ -188,17 +203,51 @@ fn file_ctx<T>(r: std::io::Result<T>, op: FileOp, path: &Path) -> Result<T, Pers
     })
 }
 
+/// The JSON document: what a `TDSS` snapshot stores, under the field
+/// names JSON databases have always used. `S` is the shape list,
+/// borrowed to save and owned to load.
+#[derive(Serialize, Deserialize)]
+struct JsonParts<S> {
+    extractor: FeatureExtractor,
+    next_id: ShapeId,
+    shapes: S,
+    dmax: KindMap<f64>,
+    /// Absent from files that stored whole trees; those were built
+    /// with the default fan-out.
+    #[serde(default)]
+    index_config: RTreeConfig,
+}
+
 /// Serializes the database to a writer as JSON.
 pub fn save<W: Write>(db: &ShapeDatabase, w: W) -> Result<(), PersistError> {
-    serde_json::to_writer(w, db)?;
+    let parts = JsonParts {
+        extractor: *db.extractor(),
+        next_id: db.next_id(),
+        shapes: db.shapes(),
+        dmax: KindMap::from_fn(|kind| db.dmax(kind)),
+        index_config: db.index_config(),
+    };
+    serde_json::to_writer(w, &parts)?;
     Ok(())
 }
 
-/// Deserializes a database from a reader.
+/// Deserializes a JSON database from a reader.
 pub fn load<R: Read>(r: R) -> Result<ShapeDatabase, PersistError> {
-    let mut db: ShapeDatabase = serde_json::from_reader(r)?;
-    db.rebuild_id_index();
-    Ok(db)
+    load_json(r, Path::new(STREAM))
+}
+
+/// Decodes a JSON database and validates it like a binary snapshot;
+/// `path` is used only in error messages.
+fn load_json<R: Read>(r: R, path: &Path) -> Result<ShapeDatabase, PersistError> {
+    let parts: JsonParts<Vec<StoredShape>> = serde_json::from_reader(r)?;
+    ShapeDatabase::from_loaded_parts(
+        parts.extractor,
+        parts.next_id,
+        parts.shapes,
+        parts.dmax,
+        parts.index_config,
+    )
+    .map_err(|reason| corrupt(path, "database", reason))
 }
 
 /// Which on-disk representation to write a database in.
@@ -315,7 +364,7 @@ pub fn load_from_path(path: &Path) -> Result<ShapeDatabase, PersistError> {
     if bytes.starts_with(&SNAPSHOT_MAGIC) {
         load_binary_bytes(&bytes, path)
     } else {
-        load(&bytes[..])
+        load_json(&bytes[..], path)
     }
 }
 

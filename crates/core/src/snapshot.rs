@@ -1,16 +1,14 @@
 //! Binary snapshot format for [`ShapeDatabase`] (the `TDSS` format).
 //!
-//! The JSON persistence in [`crate::persist`] round-trips everything —
-//! including the R-trees — through a text value tree, which is fine at
-//! 113 shapes and hopeless at 10⁵ (the paper's §2.3 index-efficiency
-//! claim is stated over synthetic databases of that size). This module
-//! is the scale path: a versioned, sectioned, checksummed binary
-//! layout with fixed-stride little-endian feature arrays, so loading
-//! is a linear bounds-checked decode instead of a parse, and the
-//! R-trees are not stored at all — they are rebuilt in one pass with
-//! [`RTree::bulk_load`](tdess_index::RTree::bulk_load) (STR packing),
-//! which is faster than deserializing them and yields better-packed
-//! trees.
+//! The JSON persistence in [`crate::persist`] parses a text value
+//! tree, which is fine at 113 shapes and slow at 10⁵ (the paper's §2.3
+//! index-efficiency claim is stated over synthetic databases of that
+//! size). This module is the scale path: a versioned, sectioned,
+//! checksummed binary layout with fixed-stride little-endian feature
+//! arrays, so loading is a linear bounds-checked decode instead of a
+//! parse. It stores the same parts as JSON; neither format stores the
+//! R-trees, which are rebuilt in one pass with
+//! [`RTree::bulk_load`](tdess_index::RTree::bulk_load) (STR packing).
 //!
 //! # Layout (version 1)
 //!
@@ -47,23 +45,24 @@
 //! # Trust model
 //!
 //! Decode treats the file as untrusted: every section is checksummed,
-//! every declared count is capped before an allocation is sized from
-//! it (same policy as the OFF loader in `tdess-geom`), and the decoded
-//! parts pass through the same validation the JSON path applies
-//! (R-tree config via `RTreeConfig::validate`, feature dimensions,
-//! finiteness, id uniqueness) before a database is produced.
+//! and every declared count is capped before an allocation is sized
+//! from it (same policy as the OFF loader in `tdess-geom`). The
+//! decoder checks only the layout; the decoded parts then go through
+//! [`ShapeDatabase::from_loaded_parts`], the one validation the JSON
+//! loader uses too (extractor config, fan-out, `dmax`, feature
+//! dimensions and finiteness, triangle indices, id uniqueness and the
+//! id counter) before a database is produced.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::Path;
 
-use tdess_features::{FeatureExtractor, FeatureKind, FeatureSet};
+use tdess_features::{FeatureExtractor, FeatureKind, FeatureSet, KindMap};
 use tdess_geom::io::{MAX_MESH_FACES, MAX_MESH_VERTICES};
 use tdess_geom::{TriMesh, Vec3};
 use tdess_index::RTreeConfig;
 
 use crate::db::{ShapeDatabase, ShapeId, StoredShape};
-use crate::persist::{corrupt, PersistError};
+use crate::persist::{corrupt, PersistError, STREAM};
 
 /// First four bytes of every binary snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TDSS";
@@ -84,6 +83,9 @@ pub const MAX_SNAPSHOT_SHAPES: usize = 1 << 24;
 pub const MAX_NAME_BYTES: usize = 1 << 16;
 /// Cap on a declared per-kind feature dimension.
 pub const MAX_FEATURE_DIM: usize = 1 << 16;
+/// Cap on a stored voxel resolution: the first query-by-example
+/// allocates a grid of `resolution³` bits (16 MiB at this cap).
+pub const MAX_VOXEL_RESOLUTION: usize = 512;
 
 /// 64-bit section checksum: four independent multiply–rotate lanes
 /// over little-endian 64-bit words, merged and finished with a
@@ -232,10 +234,6 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
 fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
-
-/// Path used in errors from the writer/reader-level entry points,
-/// where no file is involved.
-const STREAM: &str = "<stream>";
 
 /// Serializes the database to a writer in the binary snapshot format.
 ///
@@ -430,8 +428,7 @@ struct Meta {
     next_id: ShapeId,
     shape_count: usize,
     config: RTreeConfig,
-    dims: Vec<usize>,
-    dmax: HashMap<FeatureKind, f64>,
+    dmax: KindMap<f64>,
 }
 
 fn decode_meta(payload: &[u8], path: &Path) -> Result<Meta, PersistError> {
@@ -452,16 +449,6 @@ fn decode_meta(payload: &[u8], path: &Path) -> Result<Meta, PersistError> {
             format!("declared shape count {shape_count_raw} exceeds cap {MAX_SNAPSHOT_SHAPES}"),
         ));
     }
-    if voxel_resolution == 0 || spectrum_dim == 0 || spectrum_dim > MAX_FEATURE_DIM {
-        return Err(corrupt(
-            path,
-            "META",
-            format!(
-                "implausible extractor config: voxel_resolution {voxel_resolution}, \
-                 spectrum_dim {spectrum_dim}"
-            ),
-        ));
-    }
     if kind_count != FeatureKind::ALL.len() {
         return Err(corrupt(
             path,
@@ -476,8 +463,7 @@ fn decode_meta(payload: &[u8], path: &Path) -> Result<Meta, PersistError> {
         voxel_resolution,
         spectrum_dim,
     };
-    let mut dims = Vec::with_capacity(FeatureKind::ALL.len());
-    let mut dmax = HashMap::new();
+    let mut dmax = KindMap::default();
     for kind in FeatureKind::ALL {
         let dim = cur.u32()? as usize;
         if dim != extractor.dim(kind) {
@@ -490,8 +476,7 @@ fn decode_meta(payload: &[u8], path: &Path) -> Result<Meta, PersistError> {
                 ),
             ));
         }
-        dims.push(dim);
-        dmax.insert(kind, cur.f64()?);
+        dmax[kind] = cur.f64()?;
     }
     cur.done()?;
     Ok(Meta {
@@ -502,7 +487,6 @@ fn decode_meta(payload: &[u8], path: &Path) -> Result<Meta, PersistError> {
             max_entries,
             min_entries,
         },
-        dims,
         dmax,
     })
 }
@@ -569,15 +553,7 @@ fn decode_shapes(
         }
         let mut triangles = Vec::with_capacity(nt.min(MAX_MESH_FACES));
         for _ in 0..nt {
-            let t = [cur.u32()?, cur.u32()?, cur.u32()?];
-            if t.iter().any(|&i| i as usize >= nv) {
-                return Err(corrupt(
-                    path,
-                    "SHPS",
-                    format!("shape {id} triangle references vertex out of range"),
-                ));
-            }
-            triangles.push(t);
+            triangles.push([cur.u32()?, cur.u32()?, cur.u32()?]);
         }
         shapes.push(StoredShape {
             id,
@@ -594,11 +570,13 @@ fn decode_shapes(
 }
 
 /// Fills `shapes[i].features` from the fixed-stride `FEAT` arrays.
+/// Values are checked later, with the rest of the parts, by
+/// [`ShapeDatabase::from_loaded_parts`].
 fn decode_features(
     payload: &[u8],
     declared_sum: u64,
     shapes: &mut [StoredShape],
-    dims: &[usize],
+    extractor: &FeatureExtractor,
     path: &Path,
 ) -> Result<(), PersistError> {
     let mut cur = Cur::new(payload, "FEAT", path);
@@ -609,29 +587,13 @@ fn decode_features(
     // any decoded value escapes: nothing is returned until the final
     // whole-payload verdict.
     let mut sum = StreamSum::new();
-    for (kind, &dim) in FeatureKind::ALL.into_iter().zip(dims) {
-        if dim > MAX_FEATURE_DIM {
-            return Err(corrupt(
-                path,
-                "FEAT",
-                format!("dimension {dim} for {kind:?} exceeds cap {MAX_FEATURE_DIM}"),
-            ));
-        }
+    for kind in FeatureKind::ALL {
+        let dim = extractor.dim(kind);
         let block_len = shapes.len().saturating_mul(dim).saturating_mul(8);
         let block_end = cur.pos.saturating_add(block_len).min(payload.len());
         sum.absorb(&payload[cur.pos..block_end]);
         for shape in shapes.iter_mut() {
             let v = cur.f64_vec(dim)?;
-            // Finiteness is checked here, while the freshly decoded
-            // values are cache-hot, instead of in a second pass over
-            // every vector in `from_loaded_parts`.
-            if !v.iter().all(|x| x.is_finite()) {
-                return Err(corrupt(
-                    path,
-                    "FEAT",
-                    format!("shape {} has a non-finite {kind:?} vector", shape.id),
-                ));
-            }
             match kind {
                 FeatureKind::MomentInvariants => shape.features.moment_invariants = v,
                 FeatureKind::GeometricParams => shape.features.geometric = v,
@@ -791,7 +753,7 @@ pub fn load_binary_bytes(buf: &[u8], path: &Path) -> Result<ShapeDatabase, Persi
     let mut shapes = decode_shapes(shps_payload, meta.shape_count, path)?;
 
     let (feat_payload, feat_sum) = take_section_raw(buf, &mut off, SECTION_FEAT, "FEAT", path)?;
-    decode_features(feat_payload, feat_sum, &mut shapes, &meta.dims, path)?;
+    decode_features(feat_payload, feat_sum, &mut shapes, &meta.extractor, path)?;
 
     ShapeDatabase::from_loaded_parts(meta.extractor, meta.next_id, shapes, meta.dmax, meta.config)
         .map_err(|reason| corrupt(path, "database", reason))

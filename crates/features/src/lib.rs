@@ -16,8 +16,10 @@ pub mod vectors;
 pub use baselines::{shape_distribution_d2, shell_histogram, D2Params, ShellParams};
 pub use normalize::{normalize, NormalizeError, NormalizedModel};
 pub use pipeline::{
-    ExtractScratch, FeatureExtractor, FeatureSet, PipelineArtifacts, DEFAULT_SPECTRUM_DIM,
+    ExtractScratch, FeatureExtractor, FeatureSet, FeatureSetError, PipelineArtifacts,
+    DEFAULT_SPECTRUM_DIM,
 };
 pub use vectors::{
     geometric_params, higher_order_moments, moment_invariants, principal_moments, FeatureKind,
+    KindMap,
 };

@@ -57,7 +57,65 @@ impl FeatureSet {
             FeatureKind::ShellHistogram => &self.shell_histogram,
         }
     }
+
+    /// Checks that the set has the shape `extractor` produces: every
+    /// vector holds `extractor.dim(kind)` values, all finite. A set
+    /// read from a snapshot or a wire request passes this before it
+    /// reaches an index or a distance.
+    pub fn check(&self, extractor: &FeatureExtractor) -> Result<(), FeatureSetError> {
+        for kind in FeatureKind::ALL {
+            let v = self.get(kind);
+            let expected = extractor.dim(kind);
+            if v.len() != expected {
+                return Err(FeatureSetError::WrongDim {
+                    kind,
+                    found: v.len(),
+                    expected,
+                });
+            }
+            if !v.iter().all(|x| x.is_finite()) {
+                return Err(FeatureSetError::NonFinite { kind });
+            }
+        }
+        Ok(())
+    }
 }
+
+/// Why [`FeatureSet::check`] rejected a feature set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FeatureSetError {
+    /// A vector's length differs from the extractor's dimension.
+    WrongDim {
+        /// The offending feature space.
+        kind: FeatureKind,
+        /// Values found.
+        found: usize,
+        /// Values the extractor produces.
+        expected: usize,
+    },
+    /// A vector holds a NaN or an infinity.
+    NonFinite {
+        /// The offending feature space.
+        kind: FeatureKind,
+    },
+}
+
+impl std::fmt::Display for FeatureSetError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FeatureSetError::WrongDim {
+                kind,
+                found,
+                expected,
+            } => write!(f, "{kind:?} vector has {found} values, expected {expected}"),
+            FeatureSetError::NonFinite { kind } => {
+                write!(f, "{kind:?} vector contains non-finite values")
+            }
+        }
+    }
+}
+
+impl std::error::Error for FeatureSetError {}
 
 /// Intermediate artifacts of the pipeline, useful for inspection,
 /// debugging, and the browsing interface.
@@ -313,6 +371,35 @@ mod tests {
             assert!(!fs.get(kind).is_empty());
             assert!(fs.get(kind).iter().all(|v| v.is_finite()));
         }
+    }
+
+    #[test]
+    fn check_rejects_wrong_dims_and_non_finite_values() {
+        let ex = FeatureExtractor {
+            voxel_resolution: 16,
+            ..Default::default()
+        };
+        let mut fs = ex
+            .extract(&primitives::box_mesh(Vec3::new(2.0, 1.0, 0.5)))
+            .unwrap();
+        assert_eq!(fs.check(&ex), Ok(()));
+        fs.geometric.pop();
+        assert_eq!(
+            fs.check(&ex),
+            Err(FeatureSetError::WrongDim {
+                kind: FeatureKind::GeometricParams,
+                found: 4,
+                expected: 5
+            })
+        );
+        fs.geometric.push(0.0);
+        fs.shell_histogram[3] = f64::NAN;
+        assert_eq!(
+            fs.check(&ex),
+            Err(FeatureSetError::NonFinite {
+                kind: FeatureKind::ShellHistogram
+            })
+        );
     }
 
     #[test]

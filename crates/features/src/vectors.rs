@@ -1,6 +1,8 @@
 //! The four feature vectors of §3.5.
 
-use serde::{Deserialize, Serialize};
+use std::ops::{Index, IndexMut};
+
+use serde::{Deserialize, Serialize, Value};
 use tdess_geom::{mesh_moments, sym3_eigen, Moments, TriMesh};
 
 use crate::normalize::NormalizedModel;
@@ -68,6 +70,95 @@ impl FeatureKind {
             FeatureKind::ShapeDistribution => "shape distribution (D2)",
             FeatureKind::ShellHistogram => "shell histogram",
         }
+    }
+}
+
+/// One value per [`FeatureKind`], held in [`FeatureKind::ALL`] order.
+///
+/// A fixed array rather than a `HashMap<FeatureKind, T>`: every kind
+/// always has an entry, so lookups cannot miss and iteration order is
+/// the declaration order, never a hash order. Serializes as an object
+/// keyed by kind name (the shape a `HashMap` keyed by kind had), and
+/// decoding rejects a missing, repeated, or unknown key.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct KindMap<T>([T; 7]);
+
+impl<T> KindMap<T> {
+    /// Builds the map by calling `f` once per kind, in
+    /// [`FeatureKind::ALL`] order.
+    pub fn from_fn(f: impl FnMut(FeatureKind) -> T) -> KindMap<T> {
+        KindMap(FeatureKind::ALL.map(f))
+    }
+
+    /// Applies `f` to every value, keeping the kinds.
+    pub fn map<U>(self, f: impl FnMut(T) -> U) -> KindMap<U> {
+        KindMap(self.0.map(f))
+    }
+
+    /// `(kind, value)` pairs in [`FeatureKind::ALL`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (FeatureKind, &T)> {
+        FeatureKind::ALL.into_iter().zip(&self.0)
+    }
+}
+
+impl<T> Index<FeatureKind> for KindMap<T> {
+    type Output = T;
+
+    fn index(&self, kind: FeatureKind) -> &T {
+        &self.0[kind as usize]
+    }
+}
+
+impl<T> IndexMut<FeatureKind> for KindMap<T> {
+    fn index_mut(&mut self, kind: FeatureKind) -> &mut T {
+        &mut self.0[kind as usize]
+    }
+}
+
+/// The object key of a kind: its serialized (variant) name.
+fn kind_key(kind: FeatureKind) -> String {
+    match kind.to_value() {
+        Value::Str(name) => name,
+        other => format!("{other:?}"),
+    }
+}
+
+impl<T: Serialize> Serialize for KindMap<T> {
+    fn to_value(&self) -> Value {
+        Value::Obj(
+            self.iter()
+                .map(|(k, v)| (kind_key(k), v.to_value()))
+                .collect(),
+        )
+    }
+}
+
+impl<T: Deserialize> Deserialize for KindMap<T> {
+    fn from_value(v: &Value) -> Result<KindMap<T>, serde::Error> {
+        let pairs = v
+            .as_obj()
+            .ok_or_else(|| serde::Error::expected("object", "KindMap", v))?;
+        let mut slots: [Option<T>; 7] = Default::default();
+        for (key, value) in pairs {
+            let kind = FeatureKind::from_value(&Value::Str(key.clone()))?;
+            if slots[kind as usize]
+                .replace(T::from_value(value)?)
+                .is_some()
+            {
+                return Err(serde::Error::custom(format!("repeated key `{key}`")));
+            }
+        }
+        let values = FeatureKind::ALL
+            .into_iter()
+            .zip(slots)
+            .map(|(k, slot)| {
+                slot.ok_or_else(|| serde::Error::custom(format!("missing key `{}`", kind_key(k))))
+            })
+            .collect::<Result<Vec<T>, _>>()?;
+        values
+            .try_into()
+            .map(KindMap)
+            .map_err(|_| serde::Error::custom("expected one entry per feature kind"))
     }
 }
 
@@ -258,6 +349,41 @@ mod tests {
         let labels: std::collections::HashSet<_> =
             FeatureKind::ALL.iter().map(|k| k.label()).collect();
         assert_eq!(labels.len(), FeatureKind::ALL.len());
+    }
+
+    #[test]
+    fn kind_map_indexes_in_all_order() {
+        let m = KindMap::from_fn(|k| k.label());
+        for (i, kind) in FeatureKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i);
+            assert_eq!(m[kind], kind.label());
+        }
+        let mut m = m.map(str::len);
+        m[FeatureKind::Eigenvalues] = 0;
+        assert_eq!(m.iter().filter(|(_, &n)| n == 0).count(), 1);
+    }
+
+    #[test]
+    fn kind_map_serde_roundtrips_and_rejects_bad_keys() {
+        let m = KindMap::from_fn(|k| k as usize as f64 + 0.5);
+        let v = m.to_value();
+        assert_eq!(v.get("ShellHistogram"), Some(&Value::Float(6.5)));
+        assert_eq!(KindMap::<f64>::from_value(&v).unwrap(), m);
+
+        let Value::Obj(pairs) = v else {
+            panic!("KindMap serializes as an object")
+        };
+        let missing = Value::Obj(pairs[1..].to_vec());
+        let err = KindMap::<f64>::from_value(&missing).unwrap_err();
+        assert!(err.to_string().contains("MomentInvariants"), "{err}");
+
+        let mut repeated = pairs.clone();
+        repeated.push(pairs[0].clone());
+        assert!(KindMap::<f64>::from_value(&Value::Obj(repeated)).is_err());
+
+        let mut unknown = pairs;
+        unknown.push(("Curvature".into(), Value::Float(1.0)));
+        assert!(KindMap::<f64>::from_value(&Value::Obj(unknown)).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! oriented* (outward normals) wherever solid properties are computed;
 //! [`TriMesh::validate`] checks exactly that.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 
 use crate::aabb::Aabb;
@@ -15,13 +15,33 @@ use crate::mat3::Mat3;
 use crate::vec3::Vec3;
 
 /// An indexed triangle mesh.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct TriMesh {
     /// Vertex positions.
     pub vertices: Vec<Vec3>,
     /// Triangles as triples of vertex indices, counter-clockwise when
     /// viewed from outside the solid.
     pub triangles: Vec<[u32; 3]>,
+}
+
+// Hand-written rather than derived: every mesh read from bytes (wire
+// requests, JSON databases) comes through here, and a derive would
+// accept a triangle that names a missing vertex, which panics on the
+// first geometry read.
+impl Deserialize for TriMesh {
+    fn from_value(v: &Value) -> Result<TriMesh, serde::Error> {
+        let field = |name: &str| {
+            v.get(name)
+                .ok_or_else(|| serde::Error::custom(format!("missing field `{name}` in TriMesh")))
+        };
+        let mesh = TriMesh {
+            vertices: Vec::from_value(field("vertices")?)?,
+            triangles: Vec::from_value(field("triangles")?)?,
+        };
+        mesh.check_indices()
+            .map_err(|d| serde::Error::custom(format!("invalid TriMesh: {d}")))?;
+        Ok(mesh)
+    }
 }
 
 /// Problems detected by [`TriMesh::validate`].
@@ -190,6 +210,22 @@ impl TriMesh {
                 .iter()
                 .map(|t| [t[0] + base, t[1] + base, t[2] + base]),
         );
+    }
+
+    /// Checks that every triangle names existing vertices, reporting
+    /// the first that does not. [`TriMesh::triangle`] indexes without
+    /// a check, so every mesh decoded from bytes (serde, binary
+    /// snapshot) passes this before any geometry is read.
+    pub fn check_indices(&self) -> Result<(), MeshDefect> {
+        let nv = self.vertices.len();
+        match self
+            .triangles
+            .iter()
+            .position(|t| t.iter().any(|&i| i as usize >= nv))
+        {
+            Some(triangle) => Err(MeshDefect::IndexOutOfBounds { triangle }),
+            None => Ok(()),
+        }
     }
 
     /// Checks structural soundness: indices in range, no degenerate
@@ -371,6 +407,24 @@ mod tests {
             m.validate()[0],
             MeshDefect::DegenerateTriangle { triangle: 0 }
         ));
+    }
+
+    #[test]
+    fn decode_rejects_out_of_range_indices() {
+        let good = tetrahedron();
+        assert_eq!(good.check_indices(), Ok(()));
+        let back = TriMesh::from_value(&good.to_value()).unwrap();
+        assert_eq!(back.triangles, good.triangles);
+
+        let mut bad = good;
+        bad.triangles[2][1] = 4;
+        assert_eq!(
+            bad.check_indices(),
+            Err(MeshDefect::IndexOutOfBounds { triangle: 2 })
+        );
+        let err = TriMesh::from_value(&bad.to_value()).unwrap_err();
+        assert!(err.to_string().contains("triangle 2"), "{err}");
+        assert!(TriMesh::from_value(&Value::Null).is_err());
     }
 
     #[test]

@@ -46,12 +46,12 @@ impl RTreeConfig {
     }
 }
 
-/// Why a deserialized or snapshot-loaded R-tree was rejected.
+/// Why a fan-out configuration was rejected.
 ///
 /// `RTree::new` enforces its preconditions with assertions because a
-/// bad config in code is a programming error; data read from disk gets
-/// this typed error instead, so a corrupt or hostile snapshot fails
-/// loudly at load time rather than underflowing a split later.
+/// bad config in code is a programming error; a config read from disk
+/// gets this typed error instead, so a corrupt or hostile snapshot
+/// fails loudly at load time rather than underflowing a split later.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TreeError {
     /// `min_entries`/`max_entries` violate `1 ≤ m ≤ M/2`.
@@ -60,28 +60,6 @@ pub enum TreeError {
         min_entries: usize,
         /// Stored maximum fan-out.
         max_entries: usize,
-    },
-    /// Zero-dimensional tree.
-    ZeroDim,
-    /// A node's entry count is outside what the config permits.
-    BadFanout {
-        /// Entries found in the offending node.
-        found: usize,
-        /// Configured maximum.
-        max: usize,
-    },
-    /// A stored point or bounding rect is malformed (wrong dimension,
-    /// non-finite coordinate, inverted corners, or not covering its
-    /// child).
-    BadGeometry(String),
-    /// Leaves at differing depths.
-    UnevenDepth,
-    /// Stored `len` disagrees with the number of leaf entries.
-    LenMismatch {
-        /// `len` recorded in the snapshot.
-        stored: usize,
-        /// Entries actually present.
-        counted: usize,
     },
 }
 
@@ -96,22 +74,13 @@ impl std::fmt::Display for TreeError {
                 "invalid fan-out config: need 1 <= min_entries <= max_entries/2, \
                  got min {min_entries}, max {max_entries}"
             ),
-            TreeError::ZeroDim => write!(f, "tree dimension must be positive"),
-            TreeError::BadFanout { found, max } => {
-                write!(f, "node fan-out {found} outside [1, {max}]")
-            }
-            TreeError::BadGeometry(why) => write!(f, "malformed geometry: {why}"),
-            TreeError::UnevenDepth => write!(f, "leaves at differing depths"),
-            TreeError::LenMismatch { stored, counted } => {
-                write!(f, "stored len {stored} != counted entries {counted}")
-            }
         }
     }
 }
 
 impl std::error::Error for TreeError {}
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Node<T> {
     Leaf(Vec<(Vec<f64>, T)>),
     Inner(Vec<(Rect, Node<T>)>),
@@ -170,36 +139,12 @@ impl<T> Node<T> {
 /// let nearest = tree.knn(&[0.2, 0.1], 1, &mut stats);
 /// assert_eq!(*nearest[0].1, "origin");
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RTree<T> {
     config: RTreeConfig,
     dim: usize,
     len: usize,
     root: Node<T>,
-}
-
-// Hand-written rather than derived: a derive would reconstruct the
-// struct field-by-field and bypass every invariant `RTree::new` and
-// `insert` enforce, so a corrupt or hostile snapshot (min_entries: 0,
-// overflowing nodes, NaN coordinates) would load silently. Deserialize
-// the fields, then run the same structural validation the binary
-// snapshot loader uses.
-impl<T: Deserialize> Deserialize for RTree<T> {
-    fn from_value(v: &serde::Value) -> Result<RTree<T>, serde::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::Error::custom(format!("RTree: missing field `{name}`")))
-        };
-        let tree = RTree {
-            config: RTreeConfig::from_value(field("config")?)?,
-            dim: usize::from_value(field("dim")?)?,
-            len: usize::from_value(field("len")?)?,
-            root: Node::<T>::from_value(field("root")?)?,
-        };
-        tree.validate()
-            .map_err(|e| serde::Error::custom(format!("invalid R-tree: {e}")))?;
-        Ok(tree)
-    }
 }
 
 impl<T: Clone> RTree<T> {
@@ -559,9 +504,21 @@ impl<T: Clone> RTree<T> {
         out
     }
 
-    /// The `k` nearest neighbors of `center`, nearest first, via
-    /// best-first search on a priority queue of MINDIST values.
-    pub fn knn(&self, center: &[f64], k: usize, stats: &mut QueryStats) -> Vec<(&[f64], &T, f64)> {
+    /// The `k` nearest neighbors of `center` in `(distance, payload)`
+    /// order, via best-first search on a priority queue of MINDIST
+    /// values.
+    ///
+    /// Ties are broken by payload, so the answer is a function of the
+    /// stored points alone, never of the tree's shape: at equal
+    /// distance a node is expanded before any point is emitted (a node
+    /// whose MINDIST equals the point's distance may hold a tied point
+    /// with a smaller payload), and tied points come out in payload
+    /// order.
+    pub fn knn(&self, center: &[f64], k: usize, stats: &mut QueryStats) -> Vec<(&[f64], &T, f64)>
+    where
+        T: Ord,
+    {
+        use std::cmp::Ordering;
         use std::collections::BinaryHeap;
 
         enum Item<'a, T> {
@@ -569,27 +526,39 @@ impl<T: Clone> RTree<T> {
             Point(&'a [f64], &'a T),
         }
 
-        // Min-heap on (distance², insertion order).
+        // Min-heap on (distance², nodes before points, payload,
+        // insertion order).
         struct HeapEntry<'a, T> {
             d2: f64,
             seq: usize,
             item: Item<'a, T>,
         }
-        impl<T> PartialEq for HeapEntry<'_, T> {
+        impl<T: Ord> PartialEq for HeapEntry<'_, T> {
             fn eq(&self, other: &Self) -> bool {
-                self.d2 == other.d2 && self.seq == other.seq
+                self.cmp(other) == Ordering::Equal
             }
         }
-        impl<T> Eq for HeapEntry<'_, T> {}
-        impl<T> PartialOrd for HeapEntry<'_, T> {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        impl<T: Ord> Eq for HeapEntry<'_, T> {}
+        impl<T: Ord> PartialOrd for HeapEntry<'_, T> {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
                 Some(self.cmp(other))
             }
         }
-        impl<T> Ord for HeapEntry<'_, T> {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                // Reversed: BinaryHeap is a max-heap, we want min-d2 first.
-                other.d2.total_cmp(&self.d2).then(other.seq.cmp(&self.seq))
+        impl<T: Ord> Ord for HeapEntry<'_, T> {
+            fn cmp(&self, other: &Self) -> Ordering {
+                // Reversed throughout: BinaryHeap is a max-heap, and
+                // the least entry must pop first.
+                let kind = match (&self.item, &other.item) {
+                    (Item::Node(_), Item::Point(..)) => Ordering::Greater,
+                    (Item::Point(..), Item::Node(_)) => Ordering::Less,
+                    (Item::Point(_, a), Item::Point(_, b)) => b.cmp(a),
+                    (Item::Node(_), Item::Node(_)) => Ordering::Equal,
+                };
+                other
+                    .d2
+                    .total_cmp(&self.d2)
+                    .then(kind)
+                    .then(other.seq.cmp(&self.seq))
             }
         }
 
@@ -722,107 +691,6 @@ impl<T> RTree<T> {
     /// The fan-out configuration this tree was built with.
     pub fn config(&self) -> RTreeConfig {
         self.config
-    }
-
-    /// Validates a tree whose fields came from untrusted bytes: config
-    /// sanity, positive dimension, uniform leaf depth, per-node
-    /// fan-out within `[1, max_entries]`, point/rect dimensions and
-    /// finiteness, rects covering their children, and `len` matching
-    /// the actual entry count.
-    ///
-    /// Minimum occupancy is deliberately *not* enforced here: it is a
-    /// packing-quality property, not a safety one, and the root is
-    /// exempt from it anyway. Everything checked here is a property
-    /// whose violation can panic or corrupt later operations.
-    pub fn validate(&self) -> Result<(), TreeError> {
-        fn walk<T>(
-            node: &Node<T>,
-            dim: usize,
-            max: usize,
-            depth: usize,
-            leaf_depth: &mut Option<usize>,
-            is_root: bool,
-        ) -> Result<usize, TreeError> {
-            match node {
-                Node::Leaf(entries) => {
-                    match *leaf_depth {
-                        None => *leaf_depth = Some(depth),
-                        Some(d) if d != depth => return Err(TreeError::UnevenDepth),
-                        Some(_) => {}
-                    }
-                    if entries.len() > max || (!is_root && entries.is_empty()) {
-                        return Err(TreeError::BadFanout {
-                            found: entries.len(),
-                            max,
-                        });
-                    }
-                    for (p, _) in entries {
-                        if p.len() != dim {
-                            // hotpath: allow(hot-alloc) — error path: formats once, then validation aborts
-                            return Err(TreeError::BadGeometry(format!(
-                                "point dimension {} != tree dimension {dim}",
-                                p.len()
-                            )));
-                        }
-                        if !p.iter().all(|v| v.is_finite()) {
-                            return Err(TreeError::BadGeometry("non-finite point".into()));
-                        }
-                    }
-                    Ok(entries.len())
-                }
-                Node::Inner(entries) => {
-                    if entries.is_empty() || entries.len() > max {
-                        return Err(TreeError::BadFanout {
-                            found: entries.len(),
-                            max,
-                        });
-                    }
-                    let mut total = 0;
-                    for (r, child) in entries {
-                        if r.dim() != dim || r.max.len() != dim {
-                            return Err(TreeError::BadGeometry(format!(
-                                "rect dimension {} != tree dimension {dim}",
-                                r.dim()
-                            )));
-                        }
-                        if !r.is_finite() || !r.is_ordered() {
-                            return Err(TreeError::BadGeometry(
-                                "non-finite or inverted bounding rect".into(),
-                            ));
-                        }
-                        let cr = child.bounding_rect(dim);
-                        if !(r.contains_point(&cr.min) && r.contains_point(&cr.max)) {
-                            return Err(TreeError::BadGeometry(
-                                "bounding rect does not cover child".into(),
-                            ));
-                        }
-                        total += walk(child, dim, max, depth + 1, leaf_depth, false)?;
-                    }
-                    Ok(total)
-                }
-            }
-        }
-
-        self.config.validate()?;
-        if self.dim == 0 {
-            return Err(TreeError::ZeroDim);
-        }
-        let mut leaf_depth = None;
-        let counted = walk(
-            &self.root,
-            self.dim,
-            self.config.max_entries,
-            1,
-            &mut leaf_depth,
-            true,
-        )?;
-        if counted != self.len {
-            return Err(TreeError::LenMismatch {
-                stored: self.len,
-                counted,
-            });
-        }
-        Ok(())
     }
 }
 
@@ -1270,7 +1138,6 @@ mod tests {
             assert_eq!(t.len(), n);
             t.check_invariants()
                 .unwrap_or_else(|e| panic!("n={n}: {e}"));
-            t.validate().unwrap_or_else(|e| panic!("n={n}: {e}"));
         }
     }
 
@@ -1348,77 +1215,29 @@ mod tests {
     }
 
     #[test]
-    fn deserialize_roundtrips_valid_trees() {
-        let pts = pseudo_random_points(120, 3, 3);
-        let mut incremental: RTree<usize> = RTree::with_dim(3);
-        for (i, p) in pts.iter().enumerate() {
-            incremental.insert(p.clone(), i);
+    fn knn_ties_come_out_in_payload_order_whatever_the_tree_shape() {
+        // Five distinct locations, 40 copies each: almost every
+        // distance ties. Incremental and STR trees differ in shape but
+        // must return the same (distance, payload) sequence.
+        let entries: Vec<(Vec<f64>, u32)> = (0..200u32)
+            .map(|i| (vec![f64::from(i % 5), 1.0], 199 - i))
+            .collect();
+        let mut incremental: RTree<u32> = RTree::with_dim(2);
+        for (p, t) in &entries {
+            incremental.insert(p.clone(), *t);
         }
-        let packed = RTree::bulk_load(
-            3,
-            RTreeConfig::default(),
-            pts.iter().cloned().zip(0..).collect(),
-        );
-        for tree in [&incremental, &packed] {
-            let restored = RTree::<usize>::from_value(&tree.to_value()).unwrap();
-            assert_eq!(restored.len(), tree.len());
-            restored.validate().unwrap();
-        }
-    }
-
-    #[test]
-    fn deserialize_rejects_hostile_config() {
-        let mut t: RTree<u32> = RTree::with_dim(2);
-        t.insert(vec![0.0, 0.0], 1);
-        let mut v = t.to_value();
-        // Corrupt min_entries to 0 in the serialized form.
-        if let serde::Value::Obj(fields) = &mut v {
-            for (name, fv) in fields.iter_mut() {
-                if name == "config" {
-                    if let serde::Value::Obj(cfg) = fv {
-                        for (cname, cv) in cfg.iter_mut() {
-                            if cname == "min_entries" {
-                                *cv = serde::Value::Int(0);
-                            }
-                        }
-                    }
-                }
+        let packed = RTree::bulk_load(2, RTreeConfig::default(), entries);
+        for q in [[0.0, 1.0], [2.0, 1.0], [2.5, 0.0]] {
+            for k in [1, 7, 40, 41, 200] {
+                let a = incremental.knn(&q, k, &mut QueryStats::default());
+                let b = packed.knn(&q, k, &mut QueryStats::default());
+                let key = |r: &[(&[f64], &u32, f64)]| -> Vec<(u64, u32)> {
+                    r.iter().map(|(_, &t, d)| (d.to_bits(), t)).collect()
+                };
+                assert_eq!(key(&a), key(&b), "q={q:?} k={k}");
+                assert!(key(&a).windows(2).all(|w| w[0] < w[1]), "q={q:?} k={k}");
             }
         }
-        let err = RTree::<u32>::from_value(&v).unwrap_err();
-        assert!(err.to_string().contains("invalid fan-out config"), "{err}");
-    }
-
-    #[test]
-    fn deserialize_rejects_len_mismatch_and_bad_points() {
-        let mut t: RTree<u32> = RTree::with_dim(2);
-        t.insert(vec![0.0, 0.0], 1);
-        t.insert(vec![1.0, 1.0], 2);
-        // len lies about the entry count.
-        let mut v = t.to_value();
-        if let serde::Value::Obj(fields) = &mut v {
-            for (name, fv) in fields.iter_mut() {
-                if name == "len" {
-                    *fv = serde::Value::Int(99);
-                }
-            }
-        }
-        let err = RTree::<u32>::from_value(&v).unwrap_err();
-        assert!(err.to_string().contains("stored len"), "{err}");
-        // A NaN coordinate in a stored point.
-        let mut t2: RTree<u32> = RTree::with_dim(1);
-        t2.insert(vec![0.5], 7);
-        let mut v2 = t2.to_value();
-        fn poison(v: &mut serde::Value) {
-            match v {
-                serde::Value::Float(f) => *f = f64::NAN,
-                serde::Value::Arr(items) => items.iter_mut().for_each(poison),
-                serde::Value::Obj(fields) => fields.iter_mut().for_each(|(_, x)| poison(x)),
-                _ => {}
-            }
-        }
-        poison(&mut v2);
-        assert!(RTree::<u32>::from_value(&v2).is_err());
     }
 
     #[test]

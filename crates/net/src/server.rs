@@ -850,30 +850,14 @@ fn validate_query(
     Ok(())
 }
 
-/// Checks a submitted feature set: every space's vector must match the
-/// server extractor's dimension and contain only finite values.
+/// Checks a submitted feature set against the server's extractor with
+/// [`FeatureSet::check`], the check snapshot loads apply.
 fn validate_features(shared: &NetShared, features: &FeatureSet) -> Result<(), ErrorReply> {
-    for kind in FeatureKind::ALL {
-        let dim = shared.search.with_db(|db| db.extractor().dim(kind));
-        let v = features.get(kind);
-        if v.len() != dim {
-            return Err(ErrorReply::new(
-                ErrorKind::Malformed,
-                // hotpath: allow(hot-alloc) — formats only on the rejected-request path
-                format!(
-                    "{kind:?} vector has {} values, server expects {dim}",
-                    v.len()
-                ),
-            ));
-        }
-        if !v.iter().all(|x| x.is_finite()) {
-            return Err(ErrorReply::new(
-                ErrorKind::Malformed,
-                format!("{kind:?} vector contains non-finite values"),
-            ));
-        }
-    }
-    Ok(())
+    let extractor = shared.search.with_db(|db| *db.extractor());
+    features.check(&extractor).map_err(|e| {
+        // hotpath: allow(hot-alloc) — formats only on the rejected-request path
+        ErrorReply::new(ErrorKind::Malformed, e.to_string())
+    })
 }
 
 /// Executes one validated request against the wrapped [`SearchServer`].

@@ -9,9 +9,11 @@
 //! `impl Type` blocks when the type is defined in the workspace and
 //! are dropped when it is foreign (`Vec::new` never drags every
 //! workspace `new` into the graph); `Self::fn` uses the caller's impl
-//! type; module-path and method calls fall back to name-only
-//! resolution. This is deliberately over-approximate — a method call
-//! reaches every workspace function of that name.
+//! type; module-path calls fall back to name-only resolution, and
+//! method calls (`.fn(`) to name-only resolution over functions
+//! defined in an `impl` or `trait` block, since method syntax cannot
+//! call a free function. This is deliberately over-approximate — a
+//! method call reaches every workspace method of that name.
 //!
 //! `#[cfg(test)]` regions contribute neither definitions nor edges.
 //! The passes differ only in how they traverse: `hotpath` walks
@@ -83,8 +85,11 @@ pub struct FnDef {
 /// One call site inside a function body.
 #[derive(Debug)]
 enum Call {
-    /// `foo(` or `.foo(` — resolved by name alone.
+    /// `foo(` — resolved by name alone.
     Name(String),
+    /// `.foo(` — resolved by name over definitions inside an `impl`
+    /// or `trait` block.
+    Method(String),
     /// `Qual::foo(` — resolved against `impl Qual` when `Qual` is a
     /// workspace type (capitalized); by name for module paths.
     Qualified(String, String),
@@ -130,6 +135,7 @@ impl CallGraph {
 
         // Resolution maps over non-test definitions.
         let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
+        let mut methods_by_name: HashMap<&str, Vec<usize>> = HashMap::new();
         let mut by_type: HashMap<(&str, &str), Vec<usize>> = HashMap::new();
         for (di, d) in defs.iter().enumerate() {
             if d.in_test {
@@ -137,6 +143,7 @@ impl CallGraph {
             }
             by_name.entry(&d.name).or_default().push(di);
             if let Some(ty) = &d.impl_type {
+                methods_by_name.entry(&d.name).or_default().push(di);
                 by_type.entry((ty.as_str(), &d.name)).or_default().push(di);
             }
         }
@@ -180,6 +187,9 @@ impl CallGraph {
                 for call in fn_calls {
                     let targets: &[usize] = match call {
                         Call::Name(name) => by_name.get(name.as_str()).map_or(&[], Vec::as_slice),
+                        Call::Method(name) => methods_by_name
+                            .get(name.as_str())
+                            .map_or(&[], Vec::as_slice),
                         Call::Qualified(q, name) => {
                             let ty = if q == "Self" {
                                 defs[di].impl_type.as_deref()
@@ -407,6 +417,19 @@ fn fn_header(line: &str) -> Option<String> {
 /// (`impl Foo`, `impl<T> Foo<T>`, `impl Trait for Foo`).
 fn impl_header(line: &str) -> Option<String> {
     let t = line.trim_start();
+    // A trait's default method bodies are methods too.
+    let vis = ["pub(crate) ", "pub "]
+        .iter()
+        .find_map(|v| t.strip_prefix(v))
+        .unwrap_or(t);
+    if let Some(rest) = vis.strip_prefix("trait ") {
+        let name: String = rest
+            .trim_start()
+            .chars()
+            .take_while(|c| c.is_alphanumeric() || *c == '_')
+            .collect();
+        return (!name.is_empty()).then_some(name);
+    }
     let rest = t.strip_prefix("impl")?;
     let rest = if let Some(r) = rest.strip_prefix('<') {
         // Skip the generic parameter list.
@@ -513,7 +536,11 @@ fn collect_calls(line: &str, out: &mut Vec<Call>) {
                 continue;
             }
         }
-        out.push(Call::Name(name.to_string()));
+        if before.ends_with('.') && !before.ends_with("..") {
+            out.push(Call::Method(name.to_string()));
+        } else {
+            out.push(Call::Name(name.to_string()));
+        }
     }
 }
 
@@ -578,6 +605,37 @@ fn callee() {}
         let reach = g.forward_reach(&[root]);
         assert_eq!(reach.get(&root), Some(&root));
         assert_eq!(reach.get(&def_index(&g, "callee")), Some(&root));
+    }
+
+    #[test]
+    fn method_calls_reach_methods_but_never_free_functions() {
+        let g = graph(&[(
+            "crates/a/src/lib.rs",
+            "\
+pub fn entry(c: &Counter) {
+    c.load();
+    c.get();
+}
+pub fn load() {}
+pub struct Counter;
+impl Counter {
+    fn load(&self) {}
+}
+pub trait Get {
+    fn get(&self) {}
+}
+",
+        )]);
+        let entry = def_index(&g, "entry");
+        let reach = g.forward_reach(&[entry]);
+        let reached = |name: &str, ty: Option<&str>| {
+            g.defs.iter().enumerate().any(|(di, d)| {
+                d.name == name && d.impl_type.as_deref() == ty && reach.contains_key(&di)
+            })
+        };
+        assert!(reached("load", Some("Counter")));
+        assert!(reached("get", Some("Get")));
+        assert!(!reached("load", None), "`.load(` reached a free fn");
     }
 
     #[test]
