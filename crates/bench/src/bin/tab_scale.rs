@@ -14,6 +14,11 @@
 //! * **index build** — every feature space's R-tree built by STR bulk
 //!   loading vs one-at-a-time insertion, build wall time plus mean
 //!   kNN node accesses over 100 stored-vector queries on each;
+//! * **diameter** — every feature space's exact `dmax` pass
+//!   ([`grow_diameter`]) run serially on its own, wall time plus its
+//!   deterministic counts of pivot-table and pair distances; the result
+//!   must equal the built database's `dmax` bit for bit, and up to
+//!   10³ shapes the brute-force pairwise maximum too (exit 1 if not);
 //! * **equivalence** — search results from the re-loaded binary (and
 //!   JSON, where produced) database are checked bit-identical to the
 //!   in-memory database before any timing is trusted.
@@ -29,11 +34,12 @@ use std::time::Instant;
 
 use tdess_bench::CORPUS_SEED;
 use tdess_core::{
-    load_from_path, save_to_path, save_to_path_binary, Query, SearchHit, ShapeDatabase,
+    grow_diameter, load_from_path, save_to_path, save_to_path_binary, weighted_distance, Diameter,
+    Query, SearchHit, ShapeDatabase, Weights,
 };
 use tdess_dataset::synth_corpus;
 use tdess_eval::render_table;
-use tdess_features::{FeatureExtractor, FeatureKind};
+use tdess_features::{FeatureExtractor, FeatureKind, KindMap};
 use tdess_index::{QueryStats, RTree, RTreeConfig};
 
 /// Anchor-extraction resolution. Only 26 meshes are ever voxelized, so
@@ -47,6 +53,10 @@ const QUERIES: usize = 100;
 /// JSON save/load is only measured up to this many shapes; beyond it
 /// the in-memory serde value tree dwarfs the database itself.
 const JSON_MAX_SHAPES: usize = 10_000;
+
+/// Each `dmax` is checked against the brute-force pairwise maximum up
+/// to this many shapes (the `--smoke` scale).
+const BRUTE_FORCE_MAX_SHAPES: usize = 1_000;
 
 struct PersistNumbers {
     bin_bytes: u64,
@@ -99,6 +109,12 @@ fn main() {
         eprintln!("[setup] database of {n} indexed in {db_build_s:.2}s");
 
         let index = index_numbers(&db, n);
+        let (dmax_s, passes) = dmax_numbers(&db, n);
+        let total = |count: fn(&Diameter) -> u64| -> u64 {
+            FeatureKind::ALL.iter().map(|&k| count(&passes[k])).sum()
+        };
+        let (pivot_distances, pair_distances) =
+            (total(|p| p.pivot_distances), total(|p| p.pair_distances));
         let persist = persist_numbers(&db, n, &dir);
 
         rows.push(vec![
@@ -115,6 +131,10 @@ fn main() {
             persist.json.map_or("-".into(), |(_, _, l)| {
                 format!("{:.1}x", l / persist.bin_load_s.max(1e-12))
             }),
+            format!("{db_build_s:.3}"),
+            format!("{dmax_s:.3}"),
+            format!("{:.3}", pivot_distances as f64 / 1e6),
+            format!("{:.3}", pair_distances as f64 / 1e6),
             format!("{:.3}", index.str_build_s),
             format!("{:.3}", index.incr_build_s),
             format!("{:.1}", index.str_nodes_per_query),
@@ -145,9 +165,21 @@ fn main() {
             "str_nodes_per_query": index.str_nodes_per_query,
             "incremental_nodes_per_query": index.incr_nodes_per_query,
         });
+        let dmax_json = serde_json::json!({
+            "pass_s": dmax_s,
+            "brute_force_checked": n <= BRUTE_FORCE_MAX_SHAPES,
+            "pivot_distances": pivot_distances,
+            "pair_distances": pair_distances,
+            "kinds": passes.map(|p| serde_json::json!({
+                "dmax": p.dmax,
+                "pivot_distances": p.pivot_distances,
+                "pair_distances": p.pair_distances,
+            })),
+        });
         scale_json.push(serde_json::json!({
             "shapes": n,
             "db_build_s": db_build_s,
+            "dmax": dmax_json,
             "persist": persist_json,
             "index": index_json,
         }));
@@ -161,6 +193,10 @@ fn main() {
         "json save s",
         "json load s",
         "load speedup",
+        "db build s",
+        "dmax s",
+        "pivot d M",
+        "pair d M",
         "STR build s",
         "incr build s",
         "STR nodes/q",
@@ -175,7 +211,9 @@ fn main() {
     println!("{table}");
     println!(
         "JSON format measured up to {JSON_MAX_SHAPES} shapes; larger databases are binary-only. \
-         Build times sum all {} feature-space trees.",
+         Build times sum all {} feature-space trees. `db build s` is the whole batch build \
+         (trees and dmax, one thread per space); `dmax s` the diameter passes alone, run \
+         serially, with their pivot-table and pair distance counts in millions.",
         FeatureKind::ALL.len()
     );
 
@@ -300,6 +338,41 @@ fn assert_identical_results(a: &ShapeDatabase, b: &ShapeDatabase, format: &str) 
             }
         }
     }
+}
+
+/// Runs each feature space's exact diameter pass on its own (serially,
+/// timed) and checks it against the database's `dmax` bit for bit, and
+/// against the brute-force pairwise maximum up to
+/// [`BRUTE_FORCE_MAX_SHAPES`]. Exits 1 on any mismatch.
+fn dmax_numbers(db: &ShapeDatabase, n: usize) -> (f64, KindMap<Diameter>) {
+    let mut dmax_s = 0.0;
+    let passes = KindMap::from_fn(|kind| {
+        let point = |i: usize| db.shapes()[i].features.get(kind);
+        let t0 = Instant::now();
+        let pass = grow_diameter(n, 0, 0.0, point);
+        dmax_s += t0.elapsed().as_secs_f64();
+        let mut want = vec![("database", db.dmax(kind))];
+        if n <= BRUTE_FORCE_MAX_SHAPES {
+            let mut full = 0.0f64;
+            for j in 0..n {
+                for i in 0..j {
+                    full = full.max(weighted_distance(point(i), point(j), &Weights::unit()));
+                }
+            }
+            want.push(("brute-force", full));
+        }
+        for (what, d) in want {
+            if d.to_bits() != pass.dmax.to_bits() {
+                eprintln!(
+                    "error: {kind:?} dmax pass gives {} but the {what} value is {d} (n={n})",
+                    pass.dmax
+                );
+                std::process::exit(1);
+            }
+        }
+        pass
+    });
+    (dmax_s, passes)
 }
 
 /// Builds each feature space's tree twice — STR bulk load vs

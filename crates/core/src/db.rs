@@ -237,28 +237,29 @@ impl ShapeDatabase {
         mesh: TriMesh,
         features: FeatureSet,
     ) -> ShapeId {
+        // A batch of one, the new point after the stored ones: the plain
+        // scan `grow_diameter` picks for it, called directly so the pivot
+        // pass stays off the request path.
+        let (stored, n) = (&self.shapes, self.shapes.len());
         for kind in FeatureKind::ALL {
-            let v = features.get(kind);
-            // Maintain the diameter incrementally: the new point can
-            // only extend dmax via its distance to existing points.
-            let entry = &mut self.dmax[kind];
-            for s in &self.shapes {
-                let d = weighted_distance(v, s.features.get(kind), &Weights::unit());
-                if d > *entry {
-                    *entry = d;
+            let new = features.get(kind);
+            let point = |i: usize| {
+                if i < n {
+                    stored[i].features.get(kind)
+                } else {
+                    new
                 }
-            }
+            };
+            self.dmax[kind] = scan_touching(n + 1, n, self.dmax[kind], point).dmax;
         }
         self.insert_indexed(name, mesh, features)
     }
 
-    /// Inserts a batch of shapes with precomputed features, updating
-    /// each feature space's `dmax` in a single pruned diameter pass
-    /// over the union of stored and incoming points instead of one
-    /// full scan per inserted shape. The resulting `dmax` is exactly
-    /// the value the sequential [`ShapeDatabase::insert_precomputed`]
-    /// path produces (the pruning only skips pairs that provably
-    /// cannot extend the diameter). Ids are assigned in input order.
+    /// Inserts a batch of shapes with precomputed features. Each
+    /// feature space's `dmax` grows by one [`grow_diameter`] pass over
+    /// the pairs that touch a new shape, seeded with the stored value:
+    /// exactly the value repeated [`ShapeDatabase::insert_precomputed`]
+    /// calls produce. Ids are assigned in input order.
     ///
     /// When the batch is large relative to the database (bulk corpus
     /// builds, snapshot loads), every index is rebuilt with the STR
@@ -271,22 +272,22 @@ impl ShapeDatabase {
         &mut self,
         items: Vec<(String, TriMesh, FeatureSet)>,
     ) -> Vec<ShapeId> {
-        for kind in FeatureKind::ALL {
-            let points: Vec<&[f64]> = self
-                .shapes
-                .iter()
-                .map(|s| s.features.get(kind))
-                .chain(items.iter().map(|(_, _, f)| f.get(kind)))
-                .collect();
-            self.dmax[kind] = diameter_with_bound(&points, self.dmax[kind]);
-        }
+        let first_new = self.shapes.len();
         // A handful of inserts into a large database does not amortize
         // an O(n log n) rebuild of every tree; keep those incremental.
-        if items.len() * 4 < self.shapes.len() {
-            return items
+        if items.len() * 4 < first_new {
+            let ids = items
                 .into_iter()
                 .map(|(name, mesh, features)| self.insert_indexed(name, mesh, features))
                 .collect();
+            let shapes = &self.shapes;
+            for kind in FeatureKind::ALL {
+                self.dmax[kind] = grow_diameter(shapes.len(), first_new, self.dmax[kind], |i| {
+                    shapes[i].features.get(kind)
+                })
+                .dmax;
+            }
+            return ids;
         }
         let ids: Vec<ShapeId> = items
             .into_iter()
@@ -303,7 +304,13 @@ impl ShapeDatabase {
                 id
             })
             .collect();
-        self.indexes = build_indexes(&self.extractor, &self.shapes, self.index_config());
+        self.indexes = build_indexes(
+            &self.extractor,
+            &self.shapes,
+            self.index_config(),
+            first_new,
+            &mut self.dmax,
+        );
         ids
     }
 
@@ -323,7 +330,7 @@ impl ShapeDatabase {
         extractor: FeatureExtractor,
         next_id: ShapeId,
         shapes: Vec<StoredShape>,
-        dmax: KindMap<f64>,
+        mut dmax: KindMap<f64>,
         config: RTreeConfig,
     ) -> Result<ShapeDatabase, String> {
         // Voxelization needs a resolution of at least 2.
@@ -362,10 +369,12 @@ impl ShapeDatabase {
                 "next_id {next_id} would collide with stored id {max_id}"
             ));
         }
+        // No shape is new: the stored `dmax` is kept as loaded.
+        let indexes = build_indexes(&extractor, &shapes, config, shapes.len(), &mut dmax);
         let mut db = ShapeDatabase {
             extractor,
             next_id,
-            indexes: build_indexes(&extractor, &shapes, config),
+            indexes,
             shapes,
             id_index: HashMap::new(),
             dmax,
@@ -609,86 +618,246 @@ fn by_distance_then_id(a: &SearchHit, b: &SearchHit) -> std::cmp::Ordering {
     a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id))
 }
 
-/// STR-bulk-loads one R-tree per feature space from `shapes`.
+/// STR-bulk-loads one R-tree per feature space from `shapes` and grows
+/// that space's `dmax` over the pairs touching `shapes[first_new..]`.
 fn build_indexes(
     extractor: &FeatureExtractor,
     shapes: &[StoredShape],
     config: RTreeConfig,
+    first_new: usize,
+    dmax: &mut KindMap<f64>,
 ) -> KindMap<RTree<ShapeId>> {
-    // The seven feature spaces are independent, so their trees build
-    // on separate scoped threads (auto-joined); each build is
-    // deterministic, so the parallelism cannot change results.
-    std::thread::scope(|scope| {
+    // The seven feature spaces are independent, so each space's tree
+    // and diameter pass run on one scoped thread (auto-joined); both
+    // are deterministic, so the parallelism cannot change results.
+    let built = std::thread::scope(|scope| {
         KindMap::from_fn(|kind| {
+            let seed = dmax[kind];
             scope.spawn(move || {
+                let point = |i: usize| shapes[i].features.get(kind);
+                let grown = grow_diameter(shapes.len(), first_new, seed, point).dmax;
                 let entries: Vec<(Vec<f64>, ShapeId)> = shapes
                     .iter()
                     .map(|s| (s.features.get(kind).to_vec(), s.id))
                     .collect();
-                RTree::bulk_load(extractor.dim(kind), config, entries)
+                (
+                    RTree::bulk_load(extractor.dim(kind), config, entries),
+                    grown,
+                )
             })
         })
         // lint: allow(unwrap) — propagates a build-thread panic
         .map(|h| h.join().expect("index build thread panicked"))
-    })
+    });
+    for kind in FeatureKind::ALL {
+        dmax[kind] = built[kind].1;
+    }
+    built.map(|(tree, _)| tree)
 }
 
-/// Exact diameter (max pairwise Euclidean distance) of `points`,
-/// seeded with a known lower bound `best` (pairs that cannot beat it
-/// are never evaluated).
+/// Pivots of [`grow_diameter`]'s pivot pass, and the batch size up to
+/// which a plain scan is cheaper than the pivot table alone.
+const PIVOTS: usize = 32;
+
+/// One exact diameter pass: the resulting `dmax` and the deterministic
+/// count of distances it evaluated.
+#[derive(Debug, Clone, Copy)]
+pub struct Diameter {
+    /// The largest distance found, or the seed if none exceeded it.
+    pub dmax: f64,
+    /// Point-to-pivot distances computed for the pivot table.
+    pub pivot_distances: u64,
+    /// Point-pair distances computed after the pivot table.
+    pub pair_distances: u64,
+}
+
+/// Raises the seed `best` to the largest Euclidean distance between
+/// two of the points `point(0..n)` of which at least one is new (index
+/// `>= first_new`). This is the value that inserting the new points one
+/// at a time, each compared with every point before it, produces: a
+/// pair of two old points is never evaluated, so a stored `dmax` is the
+/// base the new points grow it from.
 ///
-/// Points are sorted by distance `rᵢ` from their centroid; by the
-/// triangle inequality a pair `(i, j)` can only extend the diameter
-/// if `rᵢ + rⱼ` exceeds the current best, so the double loop breaks
-/// out as soon as the sorted radius sums drop below it — in practice
-/// only the outer shell of each feature-space point cloud is ever
-/// compared. The pruning bound carries a conservative slack far
-/// larger than float rounding, so the result is bit-identical to the
-/// full pairwise scan.
-fn diameter_with_bound(points: &[&[f64]], mut best: f64) -> f64 {
-    let Some(first) = points.first() else {
-        return best;
-    };
-    let n = points.len();
-    if n < 2 {
-        return best;
+/// Up to 32 new points (`PIVOTS`) are scanned plainly, O(m·n). Larger
+/// batches take a pivot pass: farthest-first pivots with a
+/// point-to-pivot table, each point assigned to its nearest pivot,
+/// then pivot-group pairs visited in descending order of their
+/// triangle-inequality bound `ρ_g + d(p_g, p_h) + ρ_h` (`ρ` a group's
+/// radius), stopping once no bound can beat the best distance found.
+/// Inside a group pair a point pair is skipped when `d(a, p_h) + r_b`
+/// cannot beat it. (Ordering points by their distance from the
+/// centroid prunes little in the 32- and 64-dimensional spaces, where
+/// nearly every point lies about as far from the centroid as the
+/// outermost ones; pivot groups separate the clusters instead.) Every
+/// bound carries a slack far larger than float rounding, so the result
+/// is bit-identical to the brute-force maximum over the same pairs.
+pub fn grow_diameter<'a>(
+    n: usize,
+    first_new: usize,
+    best: f64,
+    point: impl Fn(usize) -> &'a [f64],
+) -> Diameter {
+    if n.saturating_sub(first_new) <= PIVOTS {
+        scan_touching(n, first_new, best, point)
+    } else {
+        pivot_pass(n, first_new, best, point)
     }
-    let dim = first.len();
-    let mut centroid = vec![0.0; dim];
-    for p in points {
-        for (c, v) in centroid.iter_mut().zip(*p) {
-            *c += v;
-        }
-    }
-    for c in centroid.iter_mut() {
-        *c /= n as f64;
-    }
-    let mut by_radius: Vec<(f64, usize)> = points
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (weighted_distance(p, &centroid, &Weights::unit()), i))
-        .collect();
-    by_radius.sort_by(|a, b| b.0.total_cmp(&a.0));
-    for (a, &(ra, ia)) in by_radius.iter().enumerate() {
-        if 2.0 * ra <= prune_bound(best) {
-            break;
-        }
-        for &(rb, ib) in &by_radius[a + 1..] {
-            if ra + rb <= prune_bound(best) {
-                break;
-            }
-            let d = weighted_distance(points[ia], points[ib], &Weights::unit());
+}
+
+/// [`grow_diameter`] for few new points: every pair touching one,
+/// in the order sequential inserts evaluate them.
+fn scan_touching<'a>(
+    n: usize,
+    first_new: usize,
+    mut best: f64,
+    point: impl Fn(usize) -> &'a [f64],
+) -> Diameter {
+    for j in first_new..n {
+        let new = point(j);
+        for i in 0..j {
+            let d = weighted_distance(new, point(i), &Weights::unit());
             if d > best {
                 best = d;
             }
         }
     }
-    best
+    let pairs = (first_new..n).map(|j| j as u64).sum();
+    Diameter {
+        dmax: best,
+        pivot_distances: 0,
+        pair_distances: pairs,
+    }
 }
 
-/// Pairs whose centroid-radius sum is at or below this value provably
+/// [`grow_diameter`]'s pivot pass; see there.
+fn pivot_pass<'a>(
+    n: usize,
+    first_new: usize,
+    mut best: f64,
+    point: impl Fn(usize) -> &'a [f64],
+) -> Diameter {
+    // One contiguous copy of the points: the pass reads each point
+    // dozens of times, and a stored shape's vectors sit behind two
+    // pointers.
+    let dim = point(0).len();
+    let flat: Vec<f64> = (0..n).flat_map(|i| point(i).iter().copied()).collect();
+    let at = |i: usize| &flat[i * dim..(i + 1) * dim];
+    let dist = |i: usize, j: usize| weighted_distance(at(i), at(j), &Weights::unit());
+    let is_new = |i: usize| i >= first_new;
+    let mut out = Diameter {
+        dmax: best,
+        pivot_distances: 0,
+        pair_distances: 0,
+    };
+
+    // Farthest-first traversal, ties to the lowest index: each pivot is
+    // the point farthest from the pivots before it. `table[i * PIVOTS +
+    // g]` is d(point i, pivot g), a real pair distance, so it also
+    // raises `best` when the pair touches a new point. `radius[i]` is
+    // the distance to the nearest pivot so far, `group[i]` that pivot.
+    let mut pivots: Vec<usize> = Vec::with_capacity(PIVOTS);
+    let mut table = vec![0.0; n * PIVOTS];
+    let mut radius = vec![f64::INFINITY; n];
+    let mut group = vec![0usize; n];
+    let mut next = 0;
+    loop {
+        let g = pivots.len();
+        pivots.push(next);
+        for i in 0..n {
+            let d = dist(i, next);
+            table[i * PIVOTS + g] = d;
+            if d > best && (is_new(i) || is_new(next)) {
+                best = d;
+            }
+            if d < radius[i] {
+                radius[i] = d;
+                group[i] = g;
+            }
+        }
+        out.pivot_distances += n as u64;
+        let mut far = 0;
+        for i in 1..n {
+            if radius[i] > radius[far] {
+                far = i;
+            }
+        }
+        // Stop at the pivot budget, or once every point is a pivot's
+        // duplicate.
+        if pivots.len() == PIVOTS || radius[far] <= 0.0 {
+            break;
+        }
+        next = far;
+    }
+    let k = pivots.len();
+
+    // Points grouped by pivot, each group largest radius first; group g
+    // is `order[start[g]..start[g + 1]]` and holds at least its pivot.
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| {
+        group[a]
+            .cmp(&group[b])
+            .then(radius[b].total_cmp(&radius[a]))
+    });
+    let mut start = vec![0usize; k + 1];
+    for &i in &order {
+        start[group[i] + 1] += 1;
+    }
+    for g in 0..k {
+        start[g + 1] += start[g];
+    }
+    let members = |g: usize| &order[start[g]..start[g + 1]];
+    let rho = |g: usize| radius[members(g)[0]];
+    let pivot_gap = |g: usize, h: usize| table[pivots[g] * PIVOTS + h];
+
+    // Group pairs that can hold a new point, loosest bound first.
+    let has_new: Vec<bool> = (0..k)
+        .map(|g| members(g).iter().any(|&i| is_new(i)))
+        .collect();
+    let mut pairs: Vec<(f64, usize, usize)> = Vec::new();
+    for g in 0..k {
+        for h in g..k {
+            if has_new[g] || has_new[h] {
+                pairs.push((rho(g) + pivot_gap(g, h) + rho(h), g, h));
+            }
+        }
+    }
+    pairs.sort_by(|x, y| y.0.total_cmp(&x.0));
+
+    for &(bound, g, h) in &pairs {
+        if bound <= prune_bound(best) {
+            break;
+        }
+        let (outer, inner) = (members(g), members(h));
+        for (x, &a) in outer.iter().enumerate() {
+            // d(a, b) <= r_a + d(p_g, p_h) + ρ_h for every b in h.
+            if radius[a] + pivot_gap(g, h) + rho(h) <= prune_bound(best) {
+                break;
+            }
+            let to_h = table[a * PIVOTS + h];
+            let rest = if g == h { &inner[x + 1..] } else { inner };
+            for &b in rest {
+                // d(a, b) <= d(a, p_h) + r_b, and r_b only falls.
+                if to_h + radius[b] <= prune_bound(best) {
+                    break;
+                }
+                if !is_new(a) && !is_new(b) {
+                    continue;
+                }
+                out.pair_distances += 1;
+                let d = dist(a, b);
+                if d > best {
+                    best = d;
+                }
+            }
+        }
+    }
+    out.dmax = best;
+    out
+}
+
+/// A triangle-inequality upper bound at or below this value provably
 /// cannot beat `best`, even allowing for floating-point rounding in
-/// the radius and distance computations.
+/// the bound and distance computations.
 fn prune_bound(best: f64) -> f64 {
     best - 1e-9 * best.abs().max(1.0)
 }
@@ -868,33 +1037,200 @@ mod tests {
             .is_unit());
     }
 
-    #[test]
-    fn diameter_pruning_matches_full_scan() {
-        // Deterministic pseudo-random point clouds; the pruned
-        // diameter must equal the full pairwise maximum exactly.
-        let mut s = 0x1234_5678_9abc_def0u64;
-        let mut rnd = || {
+    /// A deterministic xorshift stream, uniform in [0, 1).
+    fn unit_stream(mut s: u64) -> impl FnMut() -> f64 {
+        move || {
             s ^= s << 13;
             s ^= s >> 7;
             s ^= s << 17;
-            (s >> 11) as f64 / (1u64 << 53) as f64 * 20.0 - 10.0
-        };
-        for (n, dim) in [(1usize, 3usize), (2, 3), (17, 3), (120, 5), (64, 8)] {
-            let pts: Vec<Vec<f64>> = (0..n).map(|_| (0..dim).map(|_| rnd()).collect()).collect();
-            let refs: Vec<&[f64]> = pts.iter().map(|p| p.as_slice()).collect();
-            let mut full = 0.0f64;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let d = weighted_distance(&pts[i], &pts[j], &Weights::unit());
-                    if d > full {
-                        full = d;
-                    }
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// `n` points in `dim` dimensions around `anchors` cluster centres,
+    /// shaped like `synth_corpus`: anchor coordinates spread over three
+    /// decades, each point its anchor (round-robin) with every
+    /// coordinate scaled by an independent `1 ± 4%`.
+    fn clusters(
+        rnd: &mut impl FnMut() -> f64,
+        n: usize,
+        dim: usize,
+        anchors: usize,
+    ) -> Vec<Vec<f64>> {
+        let centres: Vec<Vec<f64>> = (0..anchors)
+            .map(|_| (0..dim).map(|_| 10f64.powf(3.0 * rnd() - 2.0)).collect())
+            .collect();
+        (0..n)
+            .map(|i| {
+                centres[i % anchors]
+                    .iter()
+                    .map(|c| c * (1.0 + 0.08 * (rnd() - 0.5)))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Brute-force reference: entry `j` is the largest distance from
+    /// `pts[j]` to a point before it.
+    fn brute_force(pts: &[Vec<f64>]) -> Vec<f64> {
+        (0..pts.len())
+            .map(|j| {
+                (0..j)
+                    .map(|i| weighted_distance(&pts[i], &pts[j], &Weights::unit()))
+                    .fold(0.0, f64::max)
+            })
+            .collect()
+    }
+
+    /// The largest distance of a pair touching `pts[first_new..]`,
+    /// from [`brute_force`]'s output.
+    fn touching(brute: &[f64], first_new: usize) -> f64 {
+        brute[first_new.min(brute.len())..]
+            .iter()
+            .copied()
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn diameter_pruning_matches_full_scan() {
+        let mut rnd = unit_stream(0x1234_5678_9abc_def0);
+        let mut clouds: Vec<(&str, Vec<Vec<f64>>)> = Vec::new();
+        for n in 0..4 {
+            clouds.push(("tiny", clusters(&mut rnd, n, 3, 2)));
+        }
+        // Uniform clouds; in 32 and 64 dimensions the diameter's
+        // endpoints are rarely pivots, so the pair phase must find it.
+        for (n, dim) in [(17usize, 3usize), (120, 5), (64, 8), (400, 32), (400, 64)] {
+            let uniform = (0..n).map(|_| (0..dim).map(|_| 20.0 * rnd() - 10.0).collect());
+            clouds.push(("uniform", uniform.collect()));
+        }
+        // A solid ball: pivot groups are tight, so the bounds prune,
+        // and the diameter's endpoints are rarely pivots.
+        let ball =
+            std::iter::repeat_with(|| [2.0 * rnd() - 1.0, 2.0 * rnd() - 1.0, 2.0 * rnd() - 1.0])
+                .filter(|p| p.iter().map(|x| x * x).sum::<f64>() <= 1.0);
+        clouds.push(("ball", ball.take(1000).map(|p| p.to_vec()).collect()));
+        clouds.push(("20 clusters, 32-d", clusters(&mut rnd, 600, 32, 20)));
+        clouds.push(("30 clusters, 64-d", clusters(&mut rnd, 600, 64, 30)));
+        let mut dups = clusters(&mut rnd, 150, 32, 25);
+        dups.extend_from_within(40..110);
+        clouds.push(("duplicates", dups));
+        clouds.push(("identical", vec![vec![1.5; 64]; 90]));
+
+        for (what, pts) in &clouds {
+            let n = pts.len();
+            let brute = brute_force(pts);
+            let full = touching(&brute, 0);
+            for first_new in [0, n / 2, n.saturating_sub(PIVOTS + 8), n.saturating_sub(3)] {
+                let exact = touching(&brute, first_new);
+                // Seeds: none, below the answer, at it and above it.
+                for seed in [0.0, 0.5 * exact, exact, full + 1.0] {
+                    let got = grow_diameter(n, first_new, seed, |i| &pts[i]);
+                    let want = exact.max(seed);
+                    assert_eq!(
+                        got.dmax.to_bits(),
+                        want.to_bits(),
+                        "{what}: n={n} first_new={first_new} seed={seed}"
+                    );
+                    let new = n - first_new;
+                    assert_eq!(got.pivot_distances > 0, new > PIVOTS, "{what}");
                 }
             }
-            assert_eq!(diameter_with_bound(&refs, 0.0), full, "n={n} dim={dim}");
-            // Seeding with the answer (or better) leaves it unchanged.
-            assert_eq!(diameter_with_bound(&refs, full), full);
-            assert_eq!(diameter_with_bound(&refs, full + 1.0), full + 1.0);
+        }
+        // The pivot pass prunes tight clusters in 64 dimensions.
+        let pts = &clouds
+            .iter()
+            .find(|c| c.0 == "30 clusters, 64-d")
+            .unwrap()
+            .1;
+        let work = grow_diameter(pts.len(), 0, 0.0, |i| &pts[i]);
+        let all_pairs = (pts.len() * (pts.len() - 1) / 2) as u64;
+        assert!(
+            work.pivot_distances + work.pair_distances < all_pairs / 2,
+            "{work:?} of {all_pairs} pairs"
+        );
+    }
+
+    /// Feature vectors for every kind, each coordinate `value(kind, i)`.
+    fn synth_features(
+        ex: &FeatureExtractor,
+        value: impl Fn(FeatureKind, usize) -> f64,
+    ) -> FeatureSet {
+        let v = |kind| (0..ex.dim(kind)).map(|i| value(kind, i)).collect();
+        FeatureSet {
+            moment_invariants: v(FeatureKind::MomentInvariants),
+            geometric: v(FeatureKind::GeometricParams),
+            principal_moments: v(FeatureKind::PrincipalMoments),
+            eigenvalues: v(FeatureKind::Eigenvalues),
+            higher_order: v(FeatureKind::HigherOrder),
+            shape_distribution: v(FeatureKind::ShapeDistribution),
+            shell_histogram: v(FeatureKind::ShellHistogram),
+        }
+    }
+
+    #[test]
+    fn batch_branches_match_sequential_inserts_from_a_loaded_dmax() {
+        // Old shapes sit in two groups, every coordinate near +10 or
+        // -10; new shapes near the origin. The loaded `dmax` of 0 is
+        // below the true diameter (an old–old pair, twice as far apart
+        // as a new shape is from an old one); sequential inserts never
+        // compare two old shapes, so they grow it only to about half
+        // of it. Both batch branches must give the same bits.
+        let ex = FeatureExtractor {
+            voxel_resolution: 8,
+            ..Default::default()
+        };
+        let mesh = primitives::box_mesh(Vec3::ONE); // never extracted
+        let mut rnd = unit_stream(0x0dd_ba11);
+        let mut shape = |centre: f64| {
+            let jitter: Vec<f64> = (0..64).map(|_| rnd() - 0.5).collect();
+            synth_features(&ex, |_, i| centre + jitter[i])
+        };
+        // (old shapes, new shapes): a small batch into a large database
+        // (incremental trees) and a large one (STR rebuild), both with
+        // more new shapes than pivots.
+        for (old, new) in [(200usize, 40usize), (30, 60)] {
+            let stored: Vec<StoredShape> = (0..old)
+                .map(|i| StoredShape {
+                    id: i as ShapeId + 1,
+                    name: format!("old{i}"),
+                    mesh: mesh.clone(),
+                    features: shape(if i % 2 == 0 { 10.0 } else { -10.0 }),
+                })
+                .collect();
+            let loaded = ShapeDatabase::from_loaded_parts(
+                ex,
+                old as ShapeId + 1,
+                stored,
+                KindMap::default(),
+                RTreeConfig::default(),
+            )
+            .unwrap();
+            let items: Vec<(String, TriMesh, FeatureSet)> = (0..new)
+                .map(|i| (format!("new{i}"), mesh.clone(), shape(0.0)))
+                .collect();
+            let mut seq = loaded.clone();
+            for (name, mesh, features) in items.clone() {
+                seq.insert_precomputed(name, mesh, features);
+            }
+            let mut bat = loaded;
+            let ids = bat.insert_batch_precomputed(items);
+            assert_eq!(ids.first(), Some(&(old as ShapeId + 1)));
+            for kind in FeatureKind::ALL {
+                let pts: Vec<Vec<f64>> = bat
+                    .shapes()
+                    .iter()
+                    .map(|s| s.features.get(kind).to_vec())
+                    .collect();
+                assert_eq!(
+                    seq.dmax(kind).to_bits(),
+                    bat.dmax(kind).to_bits(),
+                    "{kind:?} old={old}"
+                );
+                let brute = brute_force(&pts);
+                assert_eq!(bat.dmax(kind).to_bits(), touching(&brute, old).to_bits());
+                assert!(bat.dmax(kind) < 0.75 * touching(&brute, 0), "{kind:?}");
+            }
         }
     }
 

@@ -35,7 +35,10 @@ pub mod similarity;
 pub mod snapshot;
 
 pub use browse::{BrowseCursor, BrowseTree};
-pub use db::{DbError, Query, QueryMode, SearchHit, ShapeDatabase, ShapeId, StoredShape};
+pub use db::{
+    grow_diameter, DbError, Diameter, Query, QueryMode, SearchHit, ShapeDatabase, ShapeId,
+    StoredShape,
+};
 pub use feedback::{reconfigure_weights, reconstruct_query, Feedback, RocchioParams};
 pub use multistep::{multi_step_search, multi_step_search_with_stats, MultiStepPlan};
 pub use persist::{
